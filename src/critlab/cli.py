@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .arith import is_prime
 from .critical import bicycle_dimension, critical_group
@@ -110,15 +108,6 @@ def _parse_primes(args) -> list[int]:
     return primes
 
 
-def _thread_count(args) -> int:
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
-    env = os.environ.get("CRITLAB_THREADS", "")
-    if env.isdigit() and int(env) > 0:
-        return int(env)
-    return 1
-
-
 def _emit(args, report: dict, text: str) -> None:
     if args.format == "json":
         sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
@@ -165,11 +154,12 @@ def _cmd_critgroup(args) -> int:
     g, name = _load_graph(args)
     cg = critical_group(g)
     bic = bicycle_dimension(g) if g.is_connected() else None
+    order_factored = cg.order_factored()
     report = {
         "schema": 1,
         "graph": name,
         "invariant_factors": list(cg.invariant_factors),
-        "order_factored": {str(p): e for p, e in sorted(cg.order_factored().items())},
+        "order_factored": {str(p): e for p, e in sorted(order_factored.items())},
         "free_rank": cg.free_rank,
         "bicycle_dim": bic,
     }
@@ -178,7 +168,7 @@ def _cmd_critgroup(args) -> int:
         "invariant factors: "
         + (" ".join(str(d) for d in cg.invariant_factors) or "(trivial)"),
         f"order: {cg.order}",
-        f"order factored: {_factored_str(cg.order_factored())}",
+        f"order factored: {_factored_str(order_factored)}",
         f"free rank: {cg.free_rank}",
     ]
     if bic is not None:
@@ -201,12 +191,7 @@ def _cmd_profile(args) -> int:
     primes = _parse_primes(args)
     if not primes:
         raise ValueError("profile needs at least one --prime")
-    threads = _thread_count(args)
-    if threads > 1 and len(primes) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            profiles = list(pool.map(lambda p: elem_divisor_profile(m, p), primes))
-    else:
-        profiles = [elem_divisor_profile(m, p) for p in primes]
+    profiles = [elem_divisor_profile(m, p) for p in primes]
     report = {
         "schema": 1,
         "source": name,
@@ -327,9 +312,6 @@ def _add_common(sub, graph=False, matrix=False, primes=False):
             "--prime", type=int, action="append", help="prime (repeatable)"
         )
     sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument(
-        "--threads", type=int, help="worker threads (default CRITLAB_THREADS or 1)"
-    )
 
 
 def build_parser() -> _Parser:
@@ -369,7 +351,6 @@ def build_parser() -> _Parser:
     an.add_argument("--params", required=True, help="v,k,lambda,mu")
     an.add_argument("--prime", type=int, action="append", help="enumerate families for this prime")
     an.add_argument("--format", choices=("text", "json"), default="text")
-    an.add_argument("--threads", type=int)
     an.set_defaults(func=_cmd_moore_analyze)
 
     return parser

@@ -1,17 +1,24 @@
 """Critical groups of graphs and the invariants that cross-check them.
 
-The critical group is the torsion part of the cokernel of the Laplacian;
-its invariant factors come straight out of the Smith form, its order equals
-the spanning-tree count of a connected graph, and the number of even
-invariant factors equals the dimension of the binary bicycle space.
+The critical group is the torsion part of the cokernel of the Laplacian.
+The Laplacian is block-diagonal over the connected components, and each
+block has cokernel Z plus the cokernel of its reduced Laplacian (one vertex
+row and column deleted), whose determinant is the component's spanning-tree
+count.  So the invariant factors come from ``exact.cokernel_invariants`` on
+the reduced Laplacians, which eliminates modulo that determinant and never
+forms the integer Smith form; ``snf`` of the full Laplacian is the
+independent check.  The number of even invariant factors of a connected
+graph equals the dimension of the binary bicycle space, which is the
+corank of the Laplacian over F_2 minus one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .arith import factorize
-from .exact import determinant, snf
+from .exact import cokernel_invariants, determinant, rank_mod_p
 from .graphs import Graph, InfeasibleParametersError, SrgSpectrum, laplacian_matrix
 from .intmatrix import IntMatrix
 
@@ -38,14 +45,18 @@ class CriticalGroup:
         return out
 
 
+def _reduced_laplacian(lap: list[list[int]], vertices: list[int]) -> IntMatrix:
+    """Laplacian rows and columns of ``vertices``, less the first vertex."""
+    keep = vertices[1:]
+    return IntMatrix.from_rows([[lap[i][j] for j in keep] for i in keep])
+
+
 def critical_group(g: Graph) -> CriticalGroup:
-    """Critical group from the Smith form of the full Laplacian."""
-    result = snf(laplacian_matrix(g))
-    nontrivial = tuple(d for d in result.invariant_factors if d > 1)
-    order = 1
-    for d in nontrivial:
-        order *= d
-    return CriticalGroup(nontrivial, order, result.zero_count)
+    """Critical group from the reduced Laplacians of the components."""
+    lap = laplacian_matrix(g).to_rows()
+    components = g.components()
+    factors = cokernel_invariants(_reduced_laplacian(lap, c) for c in components)
+    return CriticalGroup(factors, prod(factors), len(components))
 
 
 def spanning_tree_count(g: Graph) -> int:
@@ -56,25 +67,20 @@ def spanning_tree_count(g: Graph) -> int:
     """
     if g.n == 0:
         raise ValueError("empty graph has no spanning tree count")
-    lap = laplacian_matrix(g)
-    reduced = [
-        [lap[i, j] for j in range(1, g.n)] for i in range(1, g.n)
-    ]
-    if g.n == 1:
-        return 1
-    return determinant(IntMatrix.from_rows(reduced))
+    lap = laplacian_matrix(g).to_rows()
+    return determinant(_reduced_laplacian(lap, list(range(g.n))))
 
 
 def bicycle_dimension(g: Graph) -> int:
     """Dimension of the binary bicycle space of a connected graph.
 
-    Equals the number of even invariant factors of the Laplacian; the
-    brute-force meaning (even-degree edge sets that are also in the cut
-    space) is exercised by the test suite.
+    Equals the number of even invariant factors of the Laplacian, that is
+    n - 1 minus its rank over F_2; the brute-force meaning (even-degree edge
+    sets that are also in the cut space) is exercised by the test suite.
     """
     if not g.is_connected():
         raise ValueError("bicycle dimension is defined here for connected graphs")
-    return sum(1 for d in critical_group(g).invariant_factors if d % 2 == 0)
+    return g.n - 1 - rank_mod_p(laplacian_matrix(g), 2)
 
 
 def predicted_order_from_spectrum(spectrum: SrgSpectrum, v: int) -> dict[int, int]:

@@ -1,23 +1,30 @@
-"""Exact integer matrix kernel: Smith normal form, determinants, ranks over
-prime fields, and per-prime elementary-divisor profiles.
+"""Exact integer matrix kernel: cokernels, Smith normal form, determinants,
+ranks over prime fields, and per-prime elementary-divisor profiles.
 
-Two routes are deliberately kept independent so they can cross-check each
-other:
+``cokernel_invariants`` is the production route to critical groups.  It
+takes the diagonal blocks of a nonsingular matrix, eliminates exactly on
++-1 pivots, then finishes modulo the determinant d of what remains, which
+is allowed because d*Z^r lies in the column lattice.  Entries stay below d,
+so the coefficient growth of integer elimination never sets in.
+
+The other routes are deliberately kept independent oracles that check it
+and each other:
 
 * ``snf`` runs integer elimination with minimal-absolute-value pivoting and
-  produces the full invariant-factor chain (optionally with unimodular
-  transform witnesses).
+  produces the full invariant-factor chain of any matrix (optionally with
+  unimodular transform witnesses).  It is the engine of ``critlab snf``.
 * ``elem_divisor_profile`` never forms the integer Smith form; it eliminates
   modulo p^B with valuation-aware pivoting, which keeps entries bounded and
-  scales to matrices whose integer Smith form would be expensive.
-
-``rank_mod_p`` is a third, plain Gaussian elimination over F_p, used as an
-oracle for the e_0 entry of the profiles.
+  gives the per-prime structure.
+* ``rank_mod_p`` is plain Gaussian elimination over F_p, used as an oracle
+  for the e_0 entry of the profiles and for the binary bicycle dimension.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
+from math import gcd
 
 from .arith import is_prime
 from .intmatrix import IntMatrix
@@ -51,7 +58,10 @@ def snf(m: IntMatrix, want_witnesses: bool = False) -> SnfResult:
 
     The pivot at each stage is forced to divide every entry of the remaining
     submatrix (offending rows are folded into the pivot row), so the
-    divisibility chain holds by construction.
+    divisibility chain holds by construction.  Entries can grow far beyond
+    the invariant factors (seconds on the Hoffman-Singleton Laplacian), so
+    critical groups use ``cokernel_invariants``; this stays as the
+    independent oracle that checks it and as the engine of ``critlab snf``.
     """
     R, C = m.rows, m.cols
     A = m.to_rows()
@@ -192,6 +202,144 @@ def determinant(m: IntMatrix) -> int:
             ai[k] = 0
         prev = pk
     return sign * a[n - 1][n - 1]
+
+
+def cokernel_invariants(blocks: Iterable[IntMatrix]) -> tuple[int, ...]:
+    """Nontrivial invariant factors of the cokernel of a block-diagonal matrix.
+
+    ``blocks`` are the diagonal blocks: square integer matrices with nonzero
+    determinant, so the cokernel is finite.  The result lists the invariant
+    factors greater than 1 in divisibility order, as ``snf`` would give them
+    for the whole matrix.  Each block is diagonalised on its own (see
+    ``_torsion_diagonal``); one gcd/lcm sweep merges the diagonals into the
+    divisibility chain.
+    """
+    diagonal: list[int] = []
+    for block in blocks:
+        diagonal.extend(_torsion_diagonal(block.to_rows()))
+    return _divisibility_chain(diagonal)
+
+
+def _torsion_diagonal(a: list[list[int]]) -> list[int]:
+    """Diagonal entries > 1 of a diagonal presentation of coker(a).
+
+    First eliminates exactly over Z on +-1 pivots: those steps are
+    unimodular, drop one unit invariant factor each and, on sparse matrices
+    such as Laplacians, leave entries small.  What remains has the same
+    |determinant| d, and d*Z^r lies in its column lattice (a @ adj(a) =
+    det(a) * I), so the rest of the elimination may reduce every entry
+    modulo d, which bounds the coefficients.  A diagonal entry x then
+    presents the cyclic factor Z/gcd(x, d).
+    """
+    a = _unit_pivot_residual(a)
+    d = abs(determinant(IntMatrix.from_rows(a)))
+    if d == 0:
+        raise ValueError("singular block: its cokernel is infinite")
+    n = len(a)
+    half = d // 2
+    for row in a:
+        for j, x in enumerate(row):
+            x %= d
+            row[j] = x - d if x > half else x
+    diagonal = []
+    for t in range(n):
+        # smallest nonzero entry of the working submatrix becomes the pivot
+        pi = pj = -1
+        best = 0
+        for i in range(t, n):
+            rowi = a[i]
+            for j in range(t, n):
+                x = rowi[j]
+                if x and (best == 0 or -best < x < best):
+                    best = abs(x)
+                    pi, pj = i, j
+            if best == 1:
+                break
+        if pi < 0:
+            # the rest is 0 mod d: each remaining factor is Z/d
+            diagonal.extend([d] * (n - t))
+            break
+        a[t], a[pi] = a[pi], a[t]
+        if pj != t:
+            for i in range(t, n):
+                rowi = a[i]
+                rowi[t], rowi[pj] = rowi[pj], rowi[t]
+        while True:
+            rowt = a[t]
+            pivot = rowt[t]
+            swapped = False
+            for i in range(t + 1, n):
+                rowi = a[i]
+                x = rowi[t]
+                if x:
+                    q = x // pivot
+                    for j in range(t, n):
+                        y = (rowi[j] - q * rowt[j]) % d
+                        rowi[j] = y - d if y > half else y
+                    if rowi[t]:
+                        # the remainder is strictly smaller than |pivot|
+                        a[t], a[i] = rowi, rowt
+                        swapped = True
+                        break
+            if swapped:
+                continue
+            # Column t is clear below the pivot, so clearing row t by column
+            # operations changes no other entry; it only needs pivot | rowt[j].
+            j = next((j for j in range(t + 1, n) if rowt[j] % pivot), -1)
+            if j < 0:
+                break
+            rowt[j] %= pivot
+            for i in range(t, n):
+                rowi = a[i]
+                rowi[t], rowi[j] = rowi[j], rowi[t]
+        diagonal.append(gcd(pivot, d))
+    return [x for x in diagonal if x > 1]
+
+
+def _unit_pivot_residual(a: list[list[int]]) -> list[list[int]]:
+    """Schur complement left after exact elimination on +-1 pivots.
+
+    Eliminating on a unit pivot is unimodular, so the residual has the same
+    cokernel as ``a`` and the same determinant up to sign.
+    """
+    rows = list(range(len(a)))
+    cols = list(range(len(a)))
+    progress = True
+    while progress:
+        progress = False
+        for i in list(rows):
+            piv_row = a[i]
+            pj = next((j for j in cols if piv_row[j] in (1, -1)), -1)
+            if pj < 0:
+                continue
+            rows.remove(i)
+            cols.remove(pj)
+            pivot = piv_row[pj]
+            pattern = [(j, piv_row[j]) for j in cols if piv_row[j]]
+            for r in rows:
+                row = a[r]
+                f = row[pj]
+                if f:
+                    f *= pivot  # pivot is its own inverse
+                    for j, x in pattern:
+                        row[j] -= f * x
+            progress = True
+    return [[a[i][j] for j in cols] for i in rows]
+
+
+def _divisibility_chain(xs: list[int]) -> tuple[int, ...]:
+    """Invariant factors > 1 of the group given by a diagonal of positive ints.
+
+    Works in place.  After the pass for position i, xs[i] divides every later
+    entry; later passes only replace entries by gcds and lcms of multiples of
+    xs[i].
+    """
+    for i in range(len(xs)):
+        for j in range(i + 1, len(xs)):
+            g = gcd(xs[i], xs[j])
+            if g != xs[i]:
+                xs[i], xs[j] = g, xs[i] // g * xs[j]
+    return tuple(x for x in xs if x > 1)
 
 
 def rank_mod_p(m: IntMatrix, p: int) -> int:
@@ -341,30 +489,3 @@ def elem_divisor_profile(
         mult_list = []
     return ElemDivisorProfile(p, tuple(mult_list), size - len(exps))
 
-
-def profile_from_factors(factors, p: int, size: int | None = None) -> ElemDivisorProfile:
-    """Profile derived from a known invariant-factor list (cross-check path)."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    factors = list(factors)
-    if size is None:
-        size = len(factors)
-    exps = []
-    zeros = 0
-    for d in factors:
-        if d == 0:
-            zeros += 1
-            continue
-        v = 0
-        while d % p == 0:
-            d //= p
-            v += 1
-        exps.append(v)
-    zeros += size - len(factors)
-    if exps:
-        mult_list = [0] * (max(exps) + 1)
-        for v in exps:
-            mult_list[v] += 1
-    else:
-        mult_list = []
-    return ElemDivisorProfile(p, tuple(mult_list), zeros)

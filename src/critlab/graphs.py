@@ -82,23 +82,30 @@ class Graph:
                     stack.append(w)
         return count == self.n
 
-    def component_count(self) -> int:
+    def components(self) -> list[list[int]]:
+        """Vertex sets of the connected components, each sorted ascending,
+        ordered by their smallest vertex."""
         nbrs = self.neighbors()
         seen = [False] * self.n
-        comps = 0
+        comps = []
         for s in range(self.n):
             if seen[s]:
                 continue
-            comps += 1
             seen[s] = True
+            comp = [s]
             stack = [s]
             while stack:
                 u = stack.pop()
                 for w in nbrs[u]:
                     if not seen[w]:
                         seen[w] = True
+                        comp.append(w)
                         stack.append(w)
+            comps.append(sorted(comp))
         return comps
+
+    def component_count(self) -> int:
+        return len(self.components())
 
     def __eq__(self, other) -> bool:
         return (

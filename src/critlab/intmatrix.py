@@ -67,9 +67,6 @@ class IntMatrix:
     def row(self, i: int) -> tuple[int, ...]:
         return self._data[i * self.cols : (i + 1) * self.cols]
 
-    def col(self, j: int) -> tuple[int, ...]:
-        return self._data[j :: self.cols] if self.cols else ()
-
     def to_rows(self) -> list[list[int]]:
         """Mutable copy as a list of row lists."""
         c = self.cols

@@ -49,6 +49,27 @@ class TestCritgroupCommand:
         _, second, _ = run_cli(capsys, ["critgroup", "--graph", "petersen", "--format", "json"])
         assert first.encode() == second.encode()
 
+    def test_hoffman_singleton_golden(self, capsys):
+        # output of the Smith-form implementation, byte for byte
+        factors = "5 " * 8 + "10" + " 50" * 19
+        code, out, _ = run_cli(capsys, ["critgroup", "--graph", "hosi"])
+        assert code == 0
+        assert out == (
+            "graph: hosi (n=50, m=175)\n"
+            f"invariant factors: {factors}\n"
+            "order: 745058059692382812500000000000000000000\n"
+            "order factored: 2^20 * 5^47\n"
+            "free rank: 1\n"
+            "bicycle dimension: 20\n"
+        )
+        code, out, _ = run_cli(capsys, ["critgroup", "--graph", "hosi", "--format", "json"])
+        assert code == 0
+        assert out == (
+            '{"bicycle_dim": 20, "free_rank": 1, "graph": "hosi", "invariant_factors": ['
+            + ", ".join(factors.split())
+            + '], "order_factored": {"2": 20, "5": 47}, "schema": 1}\n'
+        )
+
     def test_edges_file(self, capsys, tmp_path):
         path = tmp_path / "k3.txt"
         path.write_text("3 3\n0 1\n1 2\n0 2\n")
@@ -85,21 +106,6 @@ class TestProfileCommand:
             "total_valuation": 4,
         }
         assert report["profiles"][1]["multiplicities"] == [6, 3]
-
-    def test_threads_do_not_change_output(self, capsys):
-        args = ["profile", "--graph", "petersen", "--prime", "2", "--prime", "5", "--format", "json"]
-        _, serial, _ = run_cli(capsys, args)
-        _, threaded, _ = run_cli(capsys, args + ["--threads", "4"])
-        assert serial == threaded
-
-    def test_threads_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv("CRITLAB_THREADS", "2")
-        code, out, _ = run_cli(
-            capsys,
-            ["profile", "--graph", "k4", "--prime", "2", "--prime", "3", "--format", "json"],
-        )
-        assert code == 0
-        assert json.loads(out)["profiles"][0]["p"] == 2
 
     def test_non_prime_rejected(self, capsys):
         code, _, err = run_cli(capsys, ["profile", "--graph", "k3", "--prime", "4"])

@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 
 from critlab import (
@@ -16,7 +19,9 @@ from critlab import (
     petersen_graph,
     predicted_order_from_spectrum,
     spanning_tree_count,
+    snf,
     srg_spectrum,
+    valuation,
 )
 from oracles import brute_force_spanning_trees, f2_bicycle_dimension
 
@@ -37,6 +42,29 @@ def complete_bipartite(a, b):
     return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
+def cycle_plus_chords(seed, n, chords):
+    # an n-cycle plus random chords; loops and repeated edges are dropped
+    rng = random.Random(seed)
+    edges = {(i, (i + 1) % n) for i in range(n)}
+    for _ in range(chords):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((u, v))
+    return Graph(n, edges)
+
+
+def random_graph(seed):
+    rng = random.Random(f"critical:{seed}")
+    n = rng.randint(10, 40)
+    return cycle_plus_chords(seed, n, rng.randint(n // 2, 3 * n // 2))
+
+
+def snf_critical_group(g):
+    # invariant factors > 1 and free rank, from the Smith form of the Laplacian
+    result = snf(laplacian_matrix(g))
+    return tuple(d for d in result.invariant_factors if d > 1), result.zero_count
+
+
 SMALL_CONNECTED = [
     complete_graph(3),
     complete_graph(4),
@@ -50,6 +78,18 @@ SMALL_CONNECTED = [
     wheel_graph(5),
     complete_bipartite(2, 3),
     complete_bipartite(3, 3),
+]
+
+DISCONNECTED = [
+    Graph(0, []),
+    Graph(1, []),
+    Graph(4, []),
+    # two components: a triangle and a 4-cycle with a chord
+    Graph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3), (3, 5)]),
+    # a 4-cycle and a triangle on interleaved vertices, plus isolated 7 and 8
+    Graph(9, [(0, 2), (2, 4), (4, 6), (6, 0), (1, 3), (3, 5), (5, 1)]),
+    # Petersen plus an isolated vertex
+    Graph(11, list(petersen_graph().edges)),
 ]
 
 
@@ -94,6 +134,43 @@ class TestCriticalGroup:
     @pytest.mark.parametrize("g", SMALL_CONNECTED)
     def test_order_equals_tree_count(self, g):
         assert critical_group(g).order == spanning_tree_count(g)
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_random_graphs_against_snf(self, seed):
+        g = random_graph(seed)
+        cg = critical_group(g)
+        factors, zeros = snf_critical_group(g)
+        assert (cg.invariant_factors, cg.free_rank) == (factors, zeros)
+        assert bicycle_dimension(g) == sum(1 for d in factors if d % 2 == 0)
+
+    @pytest.mark.parametrize("g", SMALL_CONNECTED + DISCONNECTED)
+    def test_against_snf(self, g):
+        cg = critical_group(g)
+        assert (cg.invariant_factors, cg.free_rank) == snf_critical_group(g)
+
+    @pytest.mark.parametrize("seed,n,chords", [(608, 60, 480), (803, 80, 240)])
+    def test_graphs_where_snf_blows_up(self, seed, n, chords):
+        # The integer Smith form of these Laplacians takes seconds through
+        # coefficient growth, where their determinants take milliseconds; so
+        # the result is checked by routes that use no Smith form.
+        g = cycle_plus_chords(seed, n, chords)
+        start = time.perf_counter()
+        cg = critical_group(g)
+        assert time.perf_counter() - start < 5
+        factors = cg.invariant_factors
+        assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+        assert cg.order == spanning_tree_count(g)
+        assert cg.free_rank == 1
+        lap = laplacian_matrix(g)
+        for p in (2, 3, 5, 7):
+            exps = [valuation(d, p) for d in factors]
+            expected = [0] * (max(exps, default=0) + 1)
+            for e in exps:
+                expected[e] += 1
+            expected[0] = n - 1 - sum(expected[1:])
+            profile = elem_divisor_profile(lap, p, val_bound=valuation(cg.order, p))
+            assert profile.multiplicities == tuple(expected)
+            assert profile.kernel_rank == 1
 
 
 class TestSpanningTreeCount:

@@ -4,6 +4,7 @@ import pytest
 
 from critlab import (
     IntMatrix,
+    cokernel_invariants,
     determinant,
     elem_divisor_profile,
     format_matrix,
@@ -108,6 +109,52 @@ class TestDeterminant:
 
     def test_singular(self):
         assert determinant(IntMatrix.from_rows([[1, 2], [2, 4]])) == 0
+
+
+def block_diagonal(blocks):
+    size = sum(b.rows for b in blocks)
+    rows = []
+    offset = 0
+    for b in blocks:
+        for i in range(b.rows):
+            row = [0] * size
+            row[offset : offset + b.cols] = b.row(i)
+            rows.append(row)
+        offset += b.cols
+    return IntMatrix.from_rows(rows)
+
+
+class TestCokernelInvariants:
+    def test_blocks_merge_into_one_chain(self):
+        blocks = [IntMatrix.diagonal([2, 3]), IntMatrix.from_rows([[4]])]
+        # Z/2 + Z/3 + Z/4 = Z/2 + Z/12
+        assert cokernel_invariants(blocks) == (2, 12)
+
+    def test_unimodular_and_empty(self):
+        assert cokernel_invariants([]) == ()
+        assert cokernel_invariants([IntMatrix.zeros(0, 0)]) == ()
+        assert cokernel_invariants([IntMatrix.from_rows([[2, 1], [1, 1]])]) == ()
+
+    def test_singular_block_raises(self):
+        with pytest.raises(ValueError):
+            cokernel_invariants([IntMatrix.from_rows([[1, 2], [2, 4]])])
+
+    def test_random_blocks_against_snf(self):
+        rng = random.Random(1987)
+        done = 0
+        while done < 150:
+            blocks = []
+            for _ in range(rng.randint(1, 3)):
+                dim = rng.randint(1, 5)
+                scale = rng.choice((1, 1, 2, 3, 6))
+                blocks.append(
+                    IntMatrix(dim, dim, [scale * rng.randint(-6, 6) for _ in range(dim * dim)])
+                )
+            if any(determinant(b) == 0 for b in blocks):
+                continue
+            expected = tuple(d for d in snf(block_diagonal(blocks)).invariant_factors if d > 1)
+            assert cokernel_invariants(blocks) == expected
+            done += 1
 
 
 class TestRankModP:
