@@ -14,6 +14,7 @@ contradiction outcomes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -314,7 +315,13 @@ def _add_common(sub, graph=False, matrix=False, primes=False):
     sub.add_argument("--format", choices=("text", "json"), default="text")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The ``critlab`` argument parser, built on first use and then reused.
+
+    Parsing leaves the parser unchanged, so in-process callers of ``main``
+    pay for building it once.
+    """
     parser = _Parser(prog="critlab", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 

@@ -14,8 +14,10 @@ and each other:
   produces the full invariant-factor chain of any matrix (optionally with
   unimodular transform witnesses).  It is the engine of ``critlab snf``.
 * ``elem_divisor_profile`` never forms the integer Smith form; it eliminates
-  modulo p^B with valuation-aware pivoting, which keeps entries bounded and
-  gives the per-prime structure.
+  modulo p^B with valuation-aware pivoting (``_eliminate_mod``), which keeps
+  entries bounded and gives the per-prime structure.  The same kernel, with
+  a column tracker, gives the filtration levels in ``filtration.py``, so the
+  filtration identities are not an independent check of the profile.
 * ``rank_mod_p`` is plain Gaussian elimination over F_p, used as an oracle
   for the e_0 entry of the profiles and for the binary bicycle dimension.
 """
@@ -431,15 +433,45 @@ def elem_divisor_profile(
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    R, C = m.rows, m.cols
-    size = min(R, C)
+    size = min(m.rows, m.cols)
     if size == 0:
         return ElemDivisorProfile(p, (), 0)
     B = (val_bound if val_bound is not None else _valuation_bound(m, p)) + 1
-    mod = p**B
+    exps = _eliminate_mod(m, p, B)
+    if exps:
+        mult_list = [0] * (max(exps) + 1)
+        for v in exps:
+            mult_list[v] += 1
+    else:
+        mult_list = []
+    return ElemDivisorProfile(p, tuple(mult_list), size - len(exps))
+
+
+def _eliminate_mod(
+    m: IntMatrix, p: int, b: int, track: list[list[int]] | None = None
+) -> list[int]:
+    """Valuation-pivoting elimination of m modulo p^b; the pivot exponents.
+
+    Each stage pivots on an entry of minimal p-valuation v in the remaining
+    submatrix.  Every other entry there is then p^v times an integer mod p^b,
+    so the pivot clears its column by row operations invertible mod p^b, and
+    its row by such column operations.  The returned exponents v_0, ...,
+    v_{r-1} (each < b, in order of elimination) are therefore the p-exponents
+    of the elementary divisors that p^b does not divide; what remains is
+    0 mod p^b.  This is the kernel of ``elem_divisor_profile`` and of the
+    filtration levels.
+
+    ``track``, if given, is a list of m.cols columns (usually the identity's)
+    that receives every column operation.  Afterwards there is a row
+    transform P, invertible mod p^b, with P m q = diag(p^v_0 u_0, ...,
+    p^v_{r-1} u_{r-1}, 0, ..., 0) mod p^b for units u_k, where q has the
+    tracked columns.  Tracked entries stay below p^b.
+    """
+    R, C = m.rows, m.cols
+    mod = p**b
     a = [[x % mod for x in row] for row in m.to_rows()]
     exps: list[int] = []
-    for t in range(size):
+    for t in range(min(R, C)):
         best_v = -1
         pi = pj = -1
         for i in range(t, R):
@@ -457,12 +489,14 @@ def elem_divisor_profile(
             if best_v == 0:
                 break
         if pi < 0:
-            break  # everything that remains is 0 mod p^B: zero invariant factors
+            break  # everything that remains is 0 mod p^b
         if pi != t:
             a[t], a[pi] = a[pi], a[t]
         if pj != t:
             for row in a:
                 row[t], row[pj] = row[pj], row[t]
+            if track is not None:
+                track[t], track[pj] = track[pj], track[t]
         v = best_v
         exps.append(v)
         pv = p**v
@@ -475,17 +509,14 @@ def elem_divisor_profile(
                 ai = a[i]
                 for j in range(t, C):
                     ai[j] = (ai[j] - mult * rowt[j]) % mod
-        for j in range(t + 1, C):
-            x = rowt[j]
-            if x:
-                mult = (x // pv) * unit_inv % mod
-                # column t is already clear below the pivot, so only row t moves
-                rowt[j] = (rowt[j] - mult * rowt[t]) % mod
-    if exps:
-        mult_list = [0] * (max(exps) + 1)
-        for v in exps:
-            mult_list[v] += 1
-    else:
-        mult_list = []
-    return ElemDivisorProfile(p, tuple(mult_list), size - len(exps))
-
+        if track is not None:
+            # Column t is clear below the pivot, so clearing row t by column
+            # operations would change no entry that a later stage reads; only
+            # the tracker needs them.
+            qt = track[t]
+            for j in range(t + 1, C):
+                x = rowt[j]
+                if x:
+                    mult = (x // pv) * unit_inv % mod
+                    track[j] = [(y - mult * z) % mod for y, z in zip(track[j], qt)]
+    return exps

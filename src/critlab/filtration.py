@@ -2,132 +2,106 @@
 identities tying them to elementary-divisor multiplicities.
 
 For a map given by a matrix m and a prime p, the domain filters into the
-descending chain of sublattices whose images are divisible by p^i, and the
-codomain collects the ascending chain of those images divided by p^i (which
-stabilizes to the purification of the image).  Writing e_i for the
-multiplicity of p^i among the elementary divisors, the mod-p reductions
-satisfy, for every i >= 0:
+descending chain of sublattices M_i whose images are divisible by p^i, and
+the codomain collects the ascending chain of those images divided by p^i,
+N_i = m M_i / p^i (which stabilizes to the purification of the image).
+Writing e_i for the multiplicity of p^i among the elementary divisors, the
+mod-p reductions satisfy, for every i >= 0:
 
-    dim (domain level i)   = dim kernel-bar + e_i + e_{i+1} + ...
-    dim (codomain level i) = e_0 + e_1 + ... + e_i
+    dim M_i = dim kernel-bar + e_i + e_{i+1} + ...
+    dim N_i = e_0 + e_1 + ... + e_i
 
-``verify_filtration_dims`` computes both sides independently (lattice
-chains on one side, a mod-p^B elimination profile on the other) and reports
-whether they agree at every level up to stabilization.
+Both chains are read off one valuation-pivoting elimination of m modulo
+p^b with a column tracker (``exact._eliminate_mod``).  It gives pivot
+exponents v_k and a column transform q, invertible mod p^b, and for every
+level i <= b:
+
+* M_i is generated by p^max(0, i - v_k) q_k for the pivot columns k, by the
+  other columns q_j, and by p^i times the standard basis vectors;
+* N_i is generated by the images of those generators under m, divided by
+  p^i; the last ones give the columns of m.
+
+``verify_filtration_dims`` runs that elimination once, modulo p^depth for
+its deepest level, and measures the dimension of every level mod p as the
+rank mod p of these generators; no lattice basis is built.  The expected
+dimensions come from the mod-p^B profile of ``elem_divisor_profile``, which
+runs the same elimination kernel, so the two sides are not independent of
+each other.  The anchors are the tests that compare the measured dimensions
+with the integer Smith form (``snf``) and with ``filtration_M`` and
+``filtration_N``.  Those two build the echelon ``Lattice`` of one level from
+their own elimination modulo p^i, for membership queries and as that
+reference.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
-from .exact import ElemDivisorProfile, elem_divisor_profile, rank_mod_p
+from .exact import (
+    ElemDivisorProfile,
+    _eliminate_mod,
+    elem_divisor_profile,
+    rank_mod_p,
+)
 from .intmatrix import IntMatrix
 from .lattices import Lattice, kernel_basis
 
 
-def _diagonalize_mod(m: IntMatrix, p: int, i: int):
-    """Valuation-aware elimination of m modulo p^i with a column tracker.
+def _level_generators(
+    m: IntMatrix, p: int, b: int
+) -> Callable[[int], tuple[list, list]]:
+    """Eliminate m once modulo p^b; return the generators of each level.
 
-    Returns (pivot_valuations, q, rank) where q is an integer lift of the
-    invertible mod-p^i column transform: m*q is diagonal mod p^i with the
-    first ``rank`` diagonal entries of the recorded valuations (< i) and
-    everything else divisible by p^i.  All entries stay below p^i.
+    The returned function maps a level i <= b to generators of M_i (vectors
+    of length m.cols) and of N_i (length m.rows), as in the module
+    docstring.
     """
-    R, C = m.rows, m.cols
-    mod = p**i
-    a = [[x % mod for x in row] for row in m.to_rows()]
-    q = [[int(r == c) for c in range(C)] for r in range(C)]
-    exps: list[int] = []
-    for t in range(min(R, C)):
-        best_v = -1
-        pi_ = pj = -1
-        for r in range(t, R):
-            rowr = a[r]
-            for c in range(t, C):
-                x = rowr[c]
-                if x:
-                    v = 0
-                    while x % p == 0:
-                        x //= p
-                        v += 1
-                    if best_v < 0 or v < best_v:
-                        best_v = v
-                        pi_, pj = r, c
-            if best_v == 0:
-                break
-        if pi_ < 0:
-            break
-        if pi_ != t:
-            a[t], a[pi_] = a[pi_], a[t]
-        if pj != t:
-            for row in a:
-                row[t], row[pj] = row[pj], row[t]
-            for row in q:
-                row[t], row[pj] = row[pj], row[t]
-        v = best_v
-        pv = p**v
-        unit_inv = pow(a[t][t] // pv, -1, mod)
-        rowt = a[t]
-        for r in range(t + 1, R):
-            x = a[r][t]
-            if x:
-                mult = (x // pv) * unit_inv % mod
-                ar = a[r]
-                for c in range(t, C):
-                    ar[c] = (ar[c] - mult * rowt[c]) % mod
-        for c in range(t + 1, C):
-            x = rowt[c]
-            if x:
-                mult = (x // pv) * unit_inv % mod
-                # below the pivot column t is already clear, so only row t
-                # changes in a; the tracker gets the full column operation
-                rowt[c] = (rowt[c] - mult * rowt[t]) % mod
-                for row in q:
-                    row[c] = (row[c] - mult * row[t]) % mod
-        exps.append(v)
-    return exps, q, len(exps)
+    C = m.cols
+    q = [[int(r == c) for r in range(C)] for c in range(C)]
+    exps = _eliminate_mod(m, p, b, q)
+    mq = [m.mul_vector(qk) for qk in q]
+    m_cols = m.transpose().to_rows()
+
+    def level(i: int) -> tuple[list, list]:
+        pi = p**i
+        dom, img = [], []
+        for k, (qk, yk) in enumerate(zip(q, mq)):
+            s = p ** max(0, i - exps[k]) if k < len(exps) else 1
+            y = [s * x for x in yk]
+            if any(x % pi for x in y):
+                raise AssertionError("image not divisible by p^i; filtration bug")
+            dom.append([s * x for x in qk])
+            img.append([x // pi for x in y])
+        dom.extend([pi * (r == x) for r in range(C)] for x in range(C))
+        img.extend(m_cols)  # m (p^i e_x) / p^i is column x of m, exactly
+        return dom, img
+
+    return level
 
 
 def filtration_M(m: IntMatrix, p: int, i: int) -> Lattice:
     """Sublattice of Z^cols whose images under m are divisible by p^i.
 
     Membership of x depends only on x mod p^i, so the lattice is the full
-    preimage of ker(m mod p^i): eliminate modulo p^i tracking column
-    operations, read the kernel off the diagonal form, lift, and add p^i
-    times the standard basis.
+    preimage of ker(m mod p^i): its generators come from an elimination
+    modulo p^i that tracks column operations (``_level_generators``).
     """
     if i < 0:
         raise ValueError("filtration level must be nonnegative")
-    C = m.cols
-    if i == 0:
-        return Lattice(C, ([int(r == c) for c in range(C)] for r in range(C)))
-    exps, q, rank = _diagonalize_mod(m, p, i)
-    mod = p**i
-    out = Lattice(C)
-    for k in range(rank):
-        scale = p ** (i - exps[k])
-        out.add_vector([scale * q[x][k] % mod for x in range(C)])
-    for j in range(rank, C):
-        out.add_vector([q[x][j] % mod for x in range(C)])
-    for x in range(C):
-        vec = [0] * C
-        vec[x] = mod
-        out.add_vector(vec)
-    return out
+    C, pi = m.cols, p**i
+    dom, _ = _level_generators(m, p, i)(i)
+    # the last C generators span p^i Z^cols, so reducing the others mod p^i
+    # keeps the lattice and its entries small
+    return Lattice(C, [[x % pi for x in g] for g in dom[:C]] + dom[C:])
 
 
 def filtration_N(m: IntMatrix, p: int, i: int) -> Lattice:
     """Lattice of images of the level-i domain sublattice, divided by p^i."""
     if i < 0:
         raise ValueError("filtration level must be nonnegative")
-    pi = p**i
-    out = Lattice(m.rows)
-    for b in filtration_M(m, p, i).rows:
-        y = m.mul_vector(b)
-        if any(x % pi for x in y):
-            raise AssertionError("image not divisible by p^i; filtration bug")
-        out.add_vector([x // pi for x in y])
-    return out
+    _, img = _level_generators(m, p, i)(i)
+    return Lattice(m.rows, img)
 
 
 @dataclass(frozen=True)
@@ -160,9 +134,11 @@ def verify_filtration_dims(
     """Check both dimension identities at every level up to stabilization.
 
     The multiplicities e_i come from ``elem_divisor_profile`` (or a caller-
-    supplied profile); the chain dimensions are measured from the lattices
-    themselves.  Depth is capped at 1 + v_p(product of invariant factors),
-    beyond which both chains are provably stable.
+    supplied profile).  The chain dimensions are measured: one tracked
+    elimination of m modulo p^depth gives generators of both lattices at
+    every level (``_level_generators``), and each dimension is the rank mod p
+    of its generators.  Depth is capped at 1 + v_p(product of invariant
+    factors), beyond which both chains are provably stable.
     """
     if profile is None:
         profile = elem_divisor_profile(m, p)
@@ -172,11 +148,13 @@ def verify_filtration_dims(
         kernel_dim = rank_mod_p(IntMatrix.from_rows(kern), p)
     else:
         kernel_dim = 0
+    level = _level_generators(m, p, depth)
     dims_m = []
     dims_n = []
     for i in range(depth + 1):
-        dims_m.append(filtration_M(m, p, i).dim_mod(p))
-        dims_n.append(filtration_N(m, p, i).dim_mod(p))
+        dom, img = level(i)
+        dims_m.append(rank_mod_p(IntMatrix.from_rows(dom), p))
+        dims_n.append(rank_mod_p(IntMatrix.from_rows(img), p))
     top = len(profile.multiplicities)
     expect_m = [
         kernel_dim + sum(profile.e(k) for k in range(i, top)) for i in range(depth + 1)

@@ -1,7 +1,7 @@
 import io
 import json
 
-from critlab.cli import main
+from critlab.cli import build_parser, main
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -138,6 +138,33 @@ class TestFiltrationCommand:
         assert code == 0
         assert json.loads(out)["pass"] is True
 
+    def test_petersen_golden(self, capsys):
+        # output of the lattice-chain implementation, byte for byte
+        golden = {
+            2: (
+                "p=2 pass=True\n"
+                "dims_M: 10 5 1 1 1 1\n"
+                "dims_N: 5 9 9 9 9 9\n"
+                "kernel_dim: 1\n",
+                '{"dims_M": [10, 5, 1, 1, 1, 1], "dims_N": [5, 9, 9, 9, 9, 9], '
+                '"kernel_dim": 1, "p": 2, "pass": true, "schema": 1, '
+                '"source": "laplacian(petersen)"}\n',
+            ),
+            5: (
+                "p=5 pass=True\n"
+                "dims_M: 10 4 1 1 1\n"
+                "dims_N: 6 9 9 9 9\n"
+                "kernel_dim: 1\n",
+                '{"dims_M": [10, 4, 1, 1, 1], "dims_N": [6, 9, 9, 9, 9], '
+                '"kernel_dim": 1, "p": 5, "pass": true, "schema": 1, '
+                '"source": "laplacian(petersen)"}\n',
+            ),
+        }
+        for p, (text, js) in golden.items():
+            argv = ["filtration", "--graph", "petersen", "--prime", str(p)]
+            assert run_cli(capsys, argv) == (0, text, "")
+            assert run_cli(capsys, argv + ["--format", "json"]) == (0, js, "")
+
 
 class TestSandpileCommand:
     def test_k3(self, capsys):
@@ -202,3 +229,30 @@ class TestUsage:
         report = json.loads(out)
         assert (report["n"], report["m"]) == (50, 175)
         assert report["regular"] is True
+
+
+class TestRepeatedCalls:
+    """main() builds its parser once per process; no call may leak into the next."""
+
+    def test_parser_is_reused(self):
+        assert build_parser() is build_parser()
+
+    def test_repeated_option_does_not_accumulate(self, capsys):
+        base = ["profile", "--graph", "petersen", "--format", "json"]
+        code, out, _ = run_cli(capsys, base + ["--prime", "2", "--prime", "3"])
+        assert code == 0
+        assert [prof["p"] for prof in json.loads(out)["profiles"]] == [2, 3]
+        code, out, _ = run_cli(capsys, base + ["--prime", "5"])
+        assert code == 0
+        assert [prof["p"] for prof in json.loads(out)["profiles"]] == [5]
+
+    def test_usage_error_leaves_next_call_unchanged(self, capsys):
+        argv = ["filtration", "--graph", "petersen", "--prime", "5"]
+        build_parser.cache_clear()
+        _, fresh, _ = run_cli(capsys, argv)
+        code, out, err = run_cli(capsys, ["filtration", "--graph", "petersen", "--prime", "five"])
+        assert (code, out) == (1, "")
+        assert "invalid int value" in err
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert out == fresh

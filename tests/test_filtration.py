@@ -1,9 +1,11 @@
 import random
+import time
 
 from critlab import (
     IntMatrix,
     filtration_M,
     filtration_N,
+    hoffman_singleton_graph,
     kernel_basis,
     laplacian_matrix,
     petersen_graph,
@@ -134,3 +136,57 @@ class TestVerifyFiltrationDims:
         d = rep.to_json_dict()
         assert set(d) == {"p", "dims_M", "dims_N", "kernel_dim", "pass"}
         assert d["pass"] is True
+
+
+def _agreement_matrices():
+    """Seeded square, wide, tall and rank-deficient matrices, then zero and
+    empty ones."""
+    rng = random.Random(5772)
+    shapes = [(4, 4), (5, 5), (3, 5), (2, 6), (5, 3), (6, 2), (1, 4), (4, 1)]
+    out = []
+    for k in range(64):
+        r, c = shapes[k % len(shapes)]
+        rows = [[rng.randint(-12, 12) for _ in range(c)] for _ in range(r)]
+        if k % 2 == 0 and r > 2:
+            rows[-1] = [2 * x - 3 * y for x, y in zip(rows[0], rows[1])]
+        if k % 4 == 1:
+            # deep filtrations: a column divisible by 2^2 * 3 * 5^2
+            j = rng.randrange(c)
+            for row in rows:
+                row[j] *= 300
+        out.append(IntMatrix.from_rows(rows))
+    return out + [IntMatrix.zeros(2, 3), IntMatrix.zeros(0, 3), IntMatrix.zeros(3, 0)]
+
+
+class TestAgreementWithLatticeRoute:
+    """The measured dimensions against the echelon lattice of every level."""
+
+    def test_random_matrices_every_level(self):
+        deficient = 0
+        for m in _agreement_matrices():
+            deficient += len(kernel_basis(m)) > max(0, m.cols - m.rows)
+            for p in (2, 3, 5):
+                rep = verify_filtration_dims(m, p)
+                assert rep.passed
+                for i in range(rep.max_i + 1):
+                    assert rep.dims_M[i] == filtration_M(m, p, i).dim_mod(p)
+                    assert rep.dims_N[i] == filtration_N(m, p, i).dim_mod(p)
+        assert deficient >= 10
+
+
+class TestHoffmanSingleton:
+    def test_p5_all_levels(self):
+        lap = laplacian_matrix(hoffman_singleton_graph())
+        start = time.perf_counter()
+        rep = verify_filtration_dims(lap, 5)
+        # an echelon lattice per level would take minutes for the 49 levels
+        assert time.perf_counter() - start < 10
+        assert rep.passed
+        assert rep.max_i + 1 == 49
+        assert rep.dims_M[:4] == (50, 29, 20, 1)
+        assert rep.dims_N[:4] == (21, 30, 49, 49)
+        assert set(rep.dims_M[3:]) == {1}
+        assert set(rep.dims_N[2:]) == {49}
+        for i in (0, 1):
+            assert rep.dims_M[i] == filtration_M(lap, 5, i).dim_mod(5)
+            assert rep.dims_N[i] == filtration_N(lap, 5, i).dim_mod(5)
