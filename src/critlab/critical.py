@@ -75,12 +75,14 @@ def bicycle_dimension(g: Graph) -> int:
     """Dimension of the binary bicycle space of a connected graph.
 
     Equals the number of even invariant factors of the Laplacian, that is
-    n - 1 minus its rank over F_2; the brute-force meaning (even-degree edge
-    sets that are also in the cut space) is exercised by the test suite.
+    n - (component count) minus its rank over F_2: 0 for the empty graph,
+    which has no invariant factors.  The brute-force meaning (even-degree
+    edge sets that are also in the cut space) is exercised by the test suite.
     """
-    if not g.is_connected():
+    components = g.component_count()
+    if components > 1:
         raise ValueError("bicycle dimension is defined here for connected graphs")
-    return g.n - 1 - rank_mod_p(laplacian_matrix(g), 2)
+    return g.n - components - rank_mod_p(laplacian_matrix(g), 2)
 
 
 def predicted_order_from_spectrum(spectrum: SrgSpectrum, v: int) -> dict[int, int]:

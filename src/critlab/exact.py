@@ -11,8 +11,8 @@ The other routes are deliberately kept independent oracles that check it
 and each other:
 
 * ``snf`` runs integer elimination with minimal-absolute-value pivoting and
-  produces the full invariant-factor chain of any matrix (optionally with
-  unimodular transform witnesses).  It is the engine of ``critlab snf``.
+  produces the full invariant-factor chain of any matrix.  It is the engine
+  of ``critlab snf``.
 * ``elem_divisor_profile`` never forms the integer Smith form; it eliminates
   modulo p^B with valuation-aware pivoting (``_eliminate_mod``), which keeps
   entries bounded and gives the per-prime structure.  The same kernel, with
@@ -34,17 +34,13 @@ from .intmatrix import IntMatrix
 
 @dataclass(frozen=True)
 class SnfResult:
-    """Diagonal of the Smith form plus optional transform witnesses.
+    """Diagonal of the Smith form.
 
     invariant_factors has length min(rows, cols): a nonnegative, divisibility
-    -chained prefix of nonzero entries followed by zeros.  When witnesses are
-    requested, P @ M @ Q equals the diagonal matrix of the factors and both
-    P and Q have determinant +-1.
+    -chained prefix of nonzero entries followed by zeros.
     """
 
     invariant_factors: tuple[int, ...]
-    P: IntMatrix | None = None
-    Q: IntMatrix | None = None
 
     @property
     def nonzero_factors(self) -> tuple[int, ...]:
@@ -55,7 +51,7 @@ class SnfResult:
         return len(self.invariant_factors) - len(self.nonzero_factors)
 
 
-def snf(m: IntMatrix, want_witnesses: bool = False) -> SnfResult:
+def snf(m: IntMatrix) -> SnfResult:
     """Smith normal form by elimination with minimal-|pivot| selection.
 
     The pivot at each stage is forced to divide every entry of the remaining
@@ -67,39 +63,7 @@ def snf(m: IntMatrix, want_witnesses: bool = False) -> SnfResult:
     """
     R, C = m.rows, m.cols
     A = m.to_rows()
-    P = [[int(i == j) for j in range(R)] for i in range(R)] if want_witnesses else None
-    Q = [[int(i == j) for j in range(C)] for i in range(C)] if want_witnesses else None
     size = min(R, C)
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        if P is not None:
-            P[i], P[j] = P[j], P[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        if Q is not None:
-            for row in Q:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, c):
-        # row_dst += c * row_src
-        Ad, As = A[dst], A[src]
-        for jj in range(C):
-            Ad[jj] += c * As[jj]
-        if P is not None:
-            Pd, Ps = P[dst], P[src]
-            for jj in range(R):
-                Pd[jj] += c * Ps[jj]
-
-    def add_col(dst, src, c):
-        for row in A:
-            row[dst] += c * row[src]
-        if Q is not None:
-            for row in Q:
-                row[dst] += c * row[src]
-
     for t in range(size):
         # smallest nonzero entry of the working submatrix becomes the pivot
         pi = pj = -1
@@ -115,67 +79,55 @@ def snf(m: IntMatrix, want_witnesses: bool = False) -> SnfResult:
                 break
         if pi < 0:
             break  # submatrix is zero; remaining factors are 0
-        if pi != t:
-            swap_rows(t, pi)
+        A[t], A[pi] = A[pi], A[t]
         if pj != t:
-            swap_cols(t, pj)
+            for row in A:
+                row[t], row[pj] = row[pj], row[t]
 
         while True:
-            pivot = A[t][t]
-            restart = False
-            for i in range(t + 1, R):
-                x = A[i][t]
-                if x:
-                    q = x // pivot
-                    if q:
-                        add_row(i, t, -q)
-                    if A[i][t]:
-                        # remainder is strictly smaller than |pivot|
-                        swap_rows(t, i)
-                        restart = True
-                        break
-            if restart:
-                continue
-            for j in range(t + 1, C):
-                x = A[t][j]
-                if x:
-                    q = x // pivot
-                    if q:
-                        add_col(j, t, -q)
-                    if A[t][j]:
-                        swap_cols(t, j)
-                        restart = True
-                        break
-            if restart:
-                continue
-            # row t and column t are clear; force pivot | rest of submatrix
-            offender = -1
+            rowt = A[t]
+            pivot = rowt[t]
+            swapped = False
             for i in range(t + 1, R):
                 rowi = A[i]
-                for j in range(t + 1, C):
-                    if rowi[j] % pivot:
-                        offender = i
+                x = rowi[t]
+                if x:
+                    q = x // pivot
+                    if q:
+                        for j in range(C):
+                            rowi[j] -= q * rowt[j]
+                    if rowi[t]:
+                        # remainder is strictly smaller than |pivot|
+                        A[t], A[i] = rowi, rowt
+                        swapped = True
                         break
-                if offender >= 0:
-                    break
-            if offender < 0:
+            if swapped:
+                continue
+            for j in range(t + 1, C):
+                x = rowt[j]
+                if x:
+                    q = x // pivot
+                    if q:
+                        for row in A:
+                            row[j] -= q * row[t]
+                    if rowt[j]:
+                        for row in A:
+                            row[t], row[j] = row[j], row[t]
+                        swapped = True
+                        break
+            if swapped:
+                continue
+            # row t and column t are clear; force pivot | rest of submatrix
+            offender = next(
+                (row for row in A[t + 1 :] if any(x % pivot for x in row[t + 1 :])),
+                None,
+            )
+            if offender is None:
                 break
-            add_row(t, offender, 1)
+            for j in range(C):
+                rowt[j] += offender[j]
 
-    factors = []
-    for t in range(size):
-        d = A[t][t]
-        if d < 0:
-            d = -d
-            if P is not None:
-                P[t] = [-x for x in P[t]]
-        factors.append(d)
-
-    return SnfResult(
-        tuple(factors),
-        IntMatrix.from_rows(P) if P is not None else None,
-        IntMatrix.from_rows(Q) if Q is not None else None,
-    )
+    return SnfResult(tuple(abs(A[t][t]) for t in range(size)))
 
 
 def determinant(m: IntMatrix) -> int:
@@ -465,7 +417,12 @@ def _eliminate_mod(
     that receives every column operation.  Afterwards there is a row
     transform P, invertible mod p^b, with P m q = diag(p^v_0 u_0, ...,
     p^v_{r-1} u_{r-1}, 0, ..., 0) mod p^b for units u_k, where q has the
-    tracked columns.  Tracked entries stay below p^b.
+    tracked columns.  Tracked entries stay below p^b.  Starting from the
+    identity, q has determinant +-1 over Z, not only mod p^b: the column
+    operation of stage t subtracts multiples of column t from later columns,
+    and column t is 0 at the unit coordinate of every later column, so each
+    column keeps a 1 at its own coordinate and q is a column permutation of
+    a unit upper-triangular matrix (reducing entries mod p^b keeps that).
     """
     R, C = m.rows, m.cols
     mod = p**b

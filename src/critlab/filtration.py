@@ -13,13 +13,13 @@ mod-p reductions satisfy, for every i >= 0:
 
 Both chains are read off one valuation-pivoting elimination of m modulo
 p^b with a column tracker (``exact._eliminate_mod``).  It gives pivot
-exponents v_k and a column transform q, invertible mod p^b, and for every
-level i <= b:
+exponents v_k and a column transform q of determinant +-1 over Z, and for
+every level i <= b:
 
-* M_i is generated by p^max(0, i - v_k) q_k for the pivot columns k, by the
-  other columns q_j, and by p^i times the standard basis vectors;
+* M_i is generated by p^max(0, i - v_k) q_k for the pivot columns k and by
+  the other columns q_j;
 * N_i is generated by the images of those generators under m, divided by
-  p^i; the last ones give the columns of m.
+  p^i.
 
 ``verify_filtration_dims`` runs that elimination once, modulo p^depth for
 its deepest level, and measures the dimension of every level mod p as the
@@ -38,12 +38,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .exact import (
-    ElemDivisorProfile,
-    _eliminate_mod,
-    elem_divisor_profile,
-    rank_mod_p,
-)
+from .exact import _eliminate_mod, elem_divisor_profile, rank_mod_p
 from .intmatrix import IntMatrix
 from .lattices import Lattice, kernel_basis
 
@@ -61,7 +56,6 @@ def _level_generators(
     q = [[int(r == c) for r in range(C)] for c in range(C)]
     exps = _eliminate_mod(m, p, b, q)
     mq = [m.mul_vector(qk) for qk in q]
-    m_cols = m.transpose().to_rows()
 
     def level(i: int) -> tuple[list, list]:
         pi = p**i
@@ -73,8 +67,6 @@ def _level_generators(
                 raise AssertionError("image not divisible by p^i; filtration bug")
             dom.append([s * x for x in qk])
             img.append([x // pi for x in y])
-        dom.extend([pi * (r == x) for r in range(C)] for x in range(C))
-        img.extend(m_cols)  # m (p^i e_x) / p^i is column x of m, exactly
         return dom, img
 
     return level
@@ -91,9 +83,13 @@ def filtration_M(m: IntMatrix, p: int, i: int) -> Lattice:
         raise ValueError("filtration level must be nonnegative")
     C, pi = m.cols, p**i
     dom, _ = _level_generators(m, p, i)(i)
-    # the last C generators span p^i Z^cols, so reducing the others mod p^i
-    # keeps the lattice and its entries small
-    return Lattice(C, [[x % pi for x in g] for g in dom[:C]] + dom[C:])
+    # p^i Z^cols lies in the lattice, so adding its basis lets the other
+    # generators be reduced mod p^i, which keeps the echelon entries small
+    return Lattice(
+        C,
+        [[x % pi for x in g] for g in dom]
+        + [[pi * (r == x) for r in range(C)] for x in range(C)],
+    )
 
 
 def filtration_N(m: IntMatrix, p: int, i: int) -> Lattice:
@@ -128,20 +124,17 @@ class FiltrationReport:
         }
 
 
-def verify_filtration_dims(
-    m: IntMatrix, p: int, profile: ElemDivisorProfile | None = None
-) -> FiltrationReport:
+def verify_filtration_dims(m: IntMatrix, p: int) -> FiltrationReport:
     """Check both dimension identities at every level up to stabilization.
 
-    The multiplicities e_i come from ``elem_divisor_profile`` (or a caller-
-    supplied profile).  The chain dimensions are measured: one tracked
-    elimination of m modulo p^depth gives generators of both lattices at
-    every level (``_level_generators``), and each dimension is the rank mod p
-    of its generators.  Depth is capped at 1 + v_p(product of invariant
-    factors), beyond which both chains are provably stable.
+    The multiplicities e_i come from ``elem_divisor_profile``.  The chain
+    dimensions are measured: one tracked elimination of m modulo p^depth
+    gives generators of both lattices at every level (``_level_generators``),
+    and each dimension is the rank mod p of its generators.  Depth is capped
+    at 1 + v_p(product of invariant factors), beyond which both chains are
+    provably stable.
     """
-    if profile is None:
-        profile = elem_divisor_profile(m, p)
+    profile = elem_divisor_profile(m, p)
     depth = profile.total_valuation + 1
     kern = kernel_basis(m)
     if kern:

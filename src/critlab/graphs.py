@@ -62,25 +62,8 @@ class Graph:
             lst.sort()
         return nbrs
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self.edges
-
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        nbrs = self.neighbors()
-        seen = [False] * self.n
-        seen[0] = True
-        stack = [0]
-        count = 1
-        while stack:
-            u = stack.pop()
-            for w in nbrs[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    stack.append(w)
-        return count == self.n
+        return self.component_count() <= 1
 
     def components(self) -> list[list[int]]:
         """Vertex sets of the connected components, each sorted ascending,

@@ -83,9 +83,6 @@ class IntMatrix:
             self[i, j] == self[j, i] for i in range(self.rows) for j in range(i)
         )
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self._data)
-
     # -- arithmetic ----------------------------------------------------------
 
     def _check_same_shape(self, other):

@@ -140,10 +140,13 @@ def is_recurrent(config: ChipConfig, g: Graph) -> bool:
     return _is_recurrent_list(chips, nbrs, degs, config.sink)
 
 
-def _guard(degs, sink, max_configs, n_limit=16):
+_VERTEX_LIMIT = 16
+
+
+def _guard(degs, sink, max_configs):
     n = len(degs)
-    if n > n_limit:
-        raise SizeGuardError(f"{n} vertices exceeds exhaustive limit {n_limit}")
+    if n > _VERTEX_LIMIT:
+        raise SizeGuardError(f"{n} vertices exceeds exhaustive limit {_VERTEX_LIMIT}")
     total = 1
     for v in range(n):
         if v != sink:

@@ -210,7 +210,7 @@ class TestBicycleDimension:
             complete_graph(4)
         )
 
-    @pytest.mark.parametrize("g", SMALL_CONNECTED)
+    @pytest.mark.parametrize("g", SMALL_CONNECTED + [Graph(0, [])])
     def test_against_f2_oracle(self, g):
         assert bicycle_dimension(g) == f2_bicycle_dimension(g)
 

@@ -15,6 +15,7 @@ from critlab import (
     rank_mod_p,
     snf,
 )
+from critlab.exact import _eliminate_mod
 from oracles import profile_from_snf, random_int_matrix, snf_from_determinantal_divisors
 
 
@@ -59,18 +60,6 @@ class TestSnfProperties:
         for _ in range(100):
             m = random_int_matrix(rng, max_dim=5, lo=-10, hi=10)
             assert snf(m).invariant_factors == snf_from_determinantal_divisors(m)
-
-    def test_witnesses(self):
-        rng = random.Random(7)
-        for _ in range(25):
-            m = random_int_matrix(rng, max_dim=5, lo=-8, hi=8)
-            res = snf(m, want_witnesses=True)
-            diag = IntMatrix.zeros(m.rows, m.cols).to_rows()
-            for i, d in enumerate(res.invariant_factors):
-                diag[i][i] = d
-            assert res.P @ m @ res.Q == IntMatrix.from_rows(diag)
-            assert abs(determinant(res.P)) == 1
-            assert abs(determinant(res.Q)) == 1
 
     def test_det_is_product_of_factors(self):
         rng = random.Random(99)
@@ -226,6 +215,22 @@ class TestElemDivisorProfile:
                 assert sum(prof.multiplicities) + prof.kernel_rank == min(
                     m.rows, m.cols
                 )
+
+
+class TestEliminateMod:
+    def test_tracked_columns_have_determinant_one(self):
+        # the filtration generators rely on det q = +-1 over Z, not just mod p^b
+        rng = random.Random(5150)
+        nontrivial = 0
+        for _ in range(100):
+            m = random_int_matrix(rng, max_dim=8, lo=-20, hi=20)
+            for p in (2, 3, 5):
+                for b in range(1, 7):
+                    q = IntMatrix.identity(m.cols).to_rows()
+                    _eliminate_mod(m, p, b, q)
+                    assert abs(determinant(IntMatrix.from_rows(q))) == 1
+                    nontrivial += any(x not in (0, 1) for col in q for x in col)
+        assert nontrivial > 1000
 
 
 class TestMatrixTextFormat:
