@@ -8,8 +8,9 @@ count.  So the invariant factors come from ``exact.cokernel_invariants`` on
 the reduced Laplacians, which eliminates modulo that determinant and never
 forms the integer Smith form; ``snf`` of the full Laplacian is the
 independent check.  The number of even invariant factors of a connected
-graph equals the dimension of the binary bicycle space, which is the
-corank of the Laplacian over F_2 minus one.
+graph equals the dimension of the binary bicycle space, which is n minus
+the component count (1, or 0 for the empty graph) minus the rank of the
+Laplacian over F_2.
 """
 
 from __future__ import annotations

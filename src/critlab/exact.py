@@ -18,13 +18,15 @@ and each other:
   entries bounded and gives the per-prime structure.  The same kernel, with
   a column tracker, gives the filtration levels in ``filtration.py``, so the
   filtration identities are not an independent check of the profile.
-* ``rank_mod_p`` is plain Gaussian elimination over F_p, used as an oracle
-  for the e_0 entry of the profiles and for the binary bicycle dimension.
+
+``rank_mod_p`` is Gaussian elimination over F_p.  Through its row kernel
+``_rank_rows_mod_p`` it is the engine of the bicycle dimension and of every
+filtration dimension; it is an oracle only for the e_0 entry of the profiles.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from math import gcd
 
@@ -300,23 +302,26 @@ def rank_mod_p(m: IntMatrix, p: int) -> int:
     """Rank of the entrywise mod-p reduction over the field with p elements."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    R, C = m.rows, m.cols
-    a = [[x % p for x in row] for row in m.to_rows()]
+    return _rank_rows_mod_p(map(m.row, range(m.rows)), p)
+
+
+def _rank_rows_mod_p(rows: Iterable[Sequence[int]], p: int) -> int:
+    """The F_p rank kernel: rank of equal-length integer rows, p prime."""
+    a = [[x % p for x in row] for row in rows]
+    R = len(a)
+    C = len(a[0]) if a else 0
     rank = 0
     for j in range(C):
         piv = next((i for i in range(rank, R) if a[i][j]), -1)
         if piv < 0:
             continue
         a[rank], a[piv] = a[piv], a[rank]
-        inv = pow(a[rank][j], -1, p)
         arank = a[rank]
-        if inv != 1:
-            for jj in range(j, C):
-                arank[jj] = arank[jj] * inv % p
+        inv = pow(arank[j], -1, p)
         for i in range(rank + 1, R):
-            f = a[i][j]
+            ai = a[i]
+            f = ai[j] * inv % p
             if f:
-                ai = a[i]
                 for jj in range(j, C):
                     ai[jj] = (ai[jj] - f * arank[jj]) % p
         rank += 1

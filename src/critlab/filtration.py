@@ -22,15 +22,14 @@ every level i <= b:
   p^i.
 
 ``verify_filtration_dims`` runs that elimination once, modulo p^depth for
-its deepest level, and measures the dimension of every level mod p as the
-rank mod p of these generators; no lattice basis is built.  The expected
-dimensions come from the mod-p^B profile of ``elem_divisor_profile``, which
-runs the same elimination kernel, so the two sides are not independent of
-each other.  The anchors are the tests that compare the measured dimensions
-with the integer Smith form (``snf``) and with ``filtration_M`` and
-``filtration_N``.  Those two build the echelon ``Lattice`` of one level from
-their own elimination modulo p^i, for membership queries and as that
-reference.
+its deepest level, and measures each dimension as the rank mod p of these
+generators as plain rows, building no lattice.  The kernel over Z is
+saturated, so its dimension mod p is the column count minus the rank.  The
+expected side comes from ``elem_divisor_profile``, which runs the same
+elimination kernel, so the two sides are not independent.  The anchors are
+the tests against the integer Smith form (``snf``) and against
+``filtration_M`` / ``filtration_N``, which build the echelon ``Lattice`` of
+one level from their own elimination modulo p^i; no CLI command uses them.
 """
 
 from __future__ import annotations
@@ -38,9 +37,9 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .exact import _eliminate_mod, elem_divisor_profile, rank_mod_p
+from .exact import _eliminate_mod, _rank_rows_mod_p, elem_divisor_profile
 from .intmatrix import IntMatrix
-from .lattices import Lattice, kernel_basis
+from .lattices import Lattice
 
 
 def _level_generators(
@@ -52,6 +51,8 @@ def _level_generators(
     of length m.cols) and of N_i (length m.rows), as in the module
     docstring.
     """
+    if b < 0:
+        raise ValueError("filtration level must be nonnegative")
     C = m.cols
     q = [[int(r == c) for r in range(C)] for c in range(C)]
     exps = _eliminate_mod(m, p, b, q)
@@ -79,8 +80,6 @@ def filtration_M(m: IntMatrix, p: int, i: int) -> Lattice:
     preimage of ker(m mod p^i): its generators come from an elimination
     modulo p^i that tracks column operations (``_level_generators``).
     """
-    if i < 0:
-        raise ValueError("filtration level must be nonnegative")
     C, pi = m.cols, p**i
     dom, _ = _level_generators(m, p, i)(i)
     # p^i Z^cols lies in the lattice, so adding its basis lets the other
@@ -94,8 +93,6 @@ def filtration_M(m: IntMatrix, p: int, i: int) -> Lattice:
 
 def filtration_N(m: IntMatrix, p: int, i: int) -> Lattice:
     """Lattice of images of the level-i domain sublattice, divided by p^i."""
-    if i < 0:
-        raise ValueError("filtration level must be nonnegative")
     _, img = _level_generators(m, p, i)(i)
     return Lattice(m.rows, img)
 
@@ -127,31 +124,21 @@ class FiltrationReport:
 def verify_filtration_dims(m: IntMatrix, p: int) -> FiltrationReport:
     """Check both dimension identities at every level up to stabilization.
 
-    The multiplicities e_i come from ``elem_divisor_profile``.  The chain
-    dimensions are measured: one tracked elimination of m modulo p^depth
-    gives generators of both lattices at every level (``_level_generators``),
-    and each dimension is the rank mod p of its generators.  Depth is capped
-    at 1 + v_p(product of invariant factors), beyond which both chains are
-    provably stable.
+    The expected dimensions come from ``elem_divisor_profile``.  The
+    measured ones are the ranks mod p of each level's generators
+    (``_level_generators``); the kernel's is m.cols minus the rank.  Depth
+    is capped at 1 + v_p(product of invariant factors), beyond which both
+    chains are provably stable.
     """
     profile = elem_divisor_profile(m, p)
     depth = profile.total_valuation + 1
-    kern = kernel_basis(m)
-    if kern:
-        kernel_dim = rank_mod_p(IntMatrix.from_rows(kern), p)
-    else:
-        kernel_dim = 0
+    # the integer kernel is saturated, so its reduction mod p keeps its rank
+    kernel_dim = m.cols - profile.rank
     level = _level_generators(m, p, depth)
-    dims_m = []
-    dims_n = []
-    for i in range(depth + 1):
-        dom, img = level(i)
-        dims_m.append(rank_mod_p(IntMatrix.from_rows(dom), p))
-        dims_n.append(rank_mod_p(IntMatrix.from_rows(img), p))
-    top = len(profile.multiplicities)
-    expect_m = [
-        kernel_dim + sum(profile.e(k) for k in range(i, top)) for i in range(depth + 1)
-    ]
-    expect_n = [sum(profile.e(k) for k in range(0, i + 1)) for i in range(depth + 1)]
+    levels = range(depth + 1)
+    dims_m, dims_n = zip(*([_rank_rows_mod_p(g, p) for g in level(i)] for i in levels))
+    e = profile.multiplicities
+    expect_m = tuple(kernel_dim + sum(e[i:]) for i in levels)
+    expect_n = tuple(sum(e[: i + 1]) for i in levels)
     passed = dims_m == expect_m and dims_n == expect_n
-    return FiltrationReport(p, tuple(dims_m), tuple(dims_n), kernel_dim, passed)
+    return FiltrationReport(p, dims_m, dims_n, kernel_dim, passed)

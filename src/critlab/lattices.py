@@ -4,14 +4,20 @@ A ``Lattice`` holds a basis of a sublattice of Z^n with one pivot column per
 row, positive pivots, and entries in each pivot column reduced modulo the
 pivot in every other row.  That form makes membership an exact
 back-substitution and keeps entries from blowing up while vectors are added.
+
+No CLI command uses this module.  It backs ``filtration_M`` / ``filtration_N``,
+the membership API and the reference route that the tests hold
+``verify_filtration_dims`` against.  That route shares
+``filtration._level_generators`` with the function it checks, so it is not an
+independent oracle; the integer Smith form (``snf``) is.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 
-from .arith import xgcd
-from .exact import rank_mod_p
+from .arith import is_prime, xgcd
+from .exact import _rank_rows_mod_p
 from .intmatrix import IntMatrix
 
 
@@ -93,16 +99,11 @@ class Lattice:
     def contains_lattice(self, other: "Lattice") -> bool:
         return all(row in self for row in other.rows)
 
-    def basis_matrix(self) -> IntMatrix:
-        if not self.rows:
-            return IntMatrix.zeros(0, self.ambient)
-        return IntMatrix.from_rows(self.rows)
-
     def dim_mod(self, p: int) -> int:
         """Dimension over F_p of (lattice + p*Z^n) / p*Z^n."""
-        if not self.rows:
-            return 0
-        return rank_mod_p(self.basis_matrix(), p)
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        return _rank_rows_mod_p(self.rows, p)
 
     def __repr__(self) -> str:
         return f"Lattice(ambient={self.ambient}, rank={self.rank})"

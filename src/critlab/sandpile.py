@@ -141,9 +141,10 @@ def is_recurrent(config: ChipConfig, g: Graph) -> bool:
 
 
 _VERTEX_LIMIT = 16
+_CONFIG_LIMIT = 2_000_000
 
 
-def _guard(degs, sink, max_configs):
+def _guard(degs, sink):
     n = len(degs)
     if n > _VERTEX_LIMIT:
         raise SizeGuardError(f"{n} vertices exceeds exhaustive limit {_VERTEX_LIMIT}")
@@ -151,9 +152,9 @@ def _guard(degs, sink, max_configs):
     for v in range(n):
         if v != sink:
             total *= degs[v]
-            if total > max_configs:
+            if total > _CONFIG_LIMIT:
                 raise SizeGuardError(
-                    f"{total}+ stable configurations exceeds guard {max_configs}"
+                    f"{total}+ stable configurations exceeds guard {_CONFIG_LIMIT}"
                 )
     return total
 
@@ -174,14 +175,14 @@ def _stable_configs(degs, sink):
             return
 
 
-def recurrent_count(g: Graph, sink: int = 0, max_configs: int = 2_000_000) -> int:
+def recurrent_count(g: Graph, sink: int = 0) -> int:
     """Number of recurrent configurations, by exhaustive burning tests.
 
     Must equal the spanning-tree count; that equality is asserted by the
     test suite, not here.
     """
     nbrs, degs = _graph_arrays(g, sink)
-    _guard(degs, sink, max_configs)
+    _guard(degs, sink)
     return sum(
         1
         for chips in _stable_configs(degs, sink)
@@ -189,9 +190,7 @@ def recurrent_count(g: Graph, sink: int = 0, max_configs: int = 2_000_000) -> in
     )
 
 
-def sandpile_group_structure(
-    g: Graph, sink: int = 0, max_configs: int = 2_000_000
-) -> tuple[int, ...]:
+def sandpile_group_structure(g: Graph, sink: int = 0) -> tuple[int, ...]:
     """Invariant factors of the group of recurrent configurations.
 
     The group law is pointwise addition followed by stabilization.  Rather
@@ -201,7 +200,7 @@ def sandpile_group_structure(
     yields the number of invariant factors with p-valuation >= j.
     """
     nbrs, degs = _graph_arrays(g, sink)
-    _guard(degs, sink, max_configs)
+    _guard(degs, sink)
     n = g.n
 
     recurrents = [

@@ -1,7 +1,11 @@
 import io
 import json
+import shlex
+from pathlib import Path
 
 from critlab.cli import build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -179,6 +183,11 @@ class TestSandpileCommand:
         code, _, err = run_cli(capsys, ["sandpile", "--graph", "hosi"])
         assert code == 1
 
+    def test_configuration_guard_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, ["sandpile", "--graph", "k16"])
+        assert (code, out) == (1, "")
+        assert "stable configurations exceeds guard" in err
+
 
 class TestMooreAnalyze:
     def test_default_report(self, capsys):
@@ -256,3 +265,33 @@ class TestRepeatedCalls:
         code, out, _ = run_cli(capsys, argv)
         assert code == 0
         assert out == fresh
+
+
+def _readme_examples():
+    """(argv, expected stdout) for each ``$ critlab ...`` line in a README
+    code block; the expected output is the block's lines up to the next
+    ``$`` line or the end of the block."""
+    examples = []
+    in_block, current = False, None
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            in_block = not in_block
+            current = None
+        elif in_block and line.startswith("$ "):
+            argv = shlex.split(line[2:])
+            assert argv[0] == "critlab"
+            current = []
+            examples.append((argv[1:], current))
+        elif in_block and current is not None:
+            current.append(line + "\n")
+    return [(argv, "".join(out)) for argv, out in examples]
+
+
+class TestReadmeExamples:
+    def test_outputs_match_byte_for_byte(self, capsys):
+        examples = _readme_examples()
+        assert examples
+        for argv, expected in examples:
+            code, out, _ = run_cli(capsys, argv)
+            assert code == 0, argv
+            assert out == expected, argv

@@ -1,8 +1,11 @@
 import random
 import time
 
+import pytest
+
 from critlab import (
     IntMatrix,
+    Lattice,
     filtration_M,
     filtration_N,
     hoffman_singleton_graph,
@@ -40,6 +43,12 @@ class TestFiltrationM:
     def test_level_0_is_full_lattice(self):
         lat = filtration_M(IntMatrix.diagonal([2, 3]), 7, 0)
         assert [1, 0] in lat and [0, 1] in lat
+
+    def test_negative_level_rejected(self):
+        m = IntMatrix.diagonal([5, 25, 0])
+        for chain in (filtration_M, filtration_N):
+            with pytest.raises(ValueError, match="nonnegative"):
+                chain(m, 5, -1)
 
 
 class TestFiltrationN:
@@ -164,14 +173,34 @@ class TestAgreementWithLatticeRoute:
     def test_random_matrices_every_level(self):
         deficient = 0
         for m in _agreement_matrices():
-            deficient += len(kernel_basis(m)) > max(0, m.cols - m.rows)
+            kern = len(kernel_basis(m))
+            deficient += kern > max(0, m.cols - m.rows)
             for p in (2, 3, 5):
                 rep = verify_filtration_dims(m, p)
                 assert rep.passed
+                assert rep.kernel_dim == kern
                 for i in range(rep.max_i + 1):
                     assert rep.dims_M[i] == filtration_M(m, p, i).dim_mod(p)
                     assert rep.dims_N[i] == filtration_N(m, p, i).dim_mod(p)
         assert deficient >= 10
+
+
+class TestNoLatticeOnTheCheckPath:
+    """verify_filtration_dims needs no echelon lattice, not even for the kernel."""
+
+    def test_passes_with_lattice_disabled(self, monkeypatch):
+        def refuse(self, vec):
+            raise AssertionError("Lattice.add_vector called")
+
+        monkeypatch.setattr(Lattice, "add_vector", refuse)
+        # third row = 2 * first + second: rank 2, kernel 3, invariant factors 1, 15
+        wide = IntMatrix.from_rows(
+            [[5, 10, 0, 15, 25], [3, 0, 9, 3, 15], [13, 20, 9, 33, 65]]
+        )
+        for m in (laplacian_matrix(hoffman_singleton_graph()), wide):
+            rep = verify_filtration_dims(m, 5)
+            assert rep.passed
+        assert (rep.dims_M, rep.dims_N, rep.kernel_dim) == ((5, 4, 3), (1, 2, 2), 3)
 
 
 class TestHoffmanSingleton:

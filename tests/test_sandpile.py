@@ -83,6 +83,11 @@ class TestRecurrence:
         with pytest.raises(SizeGuardError):
             recurrent_count(hoffman_singleton_graph())
 
+    def test_configuration_guard(self):
+        # 16 vertices pass the vertex limit; 15^15 stable configurations do not
+        with pytest.raises(SizeGuardError, match="stable configurations exceeds guard"):
+            recurrent_count(complete_graph(16))
+
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
             recurrent_count(Graph(4, [(0, 1), (2, 3)]))
