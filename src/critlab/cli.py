@@ -18,7 +18,7 @@ import functools
 import json
 import sys
 
-from .arith import is_prime
+from .arith import UnfactoredError, is_prime
 from .critical import bicycle_dimension, critical_group
 from .exact import elem_divisor_profile, snf
 from .filtration import verify_filtration_dims
@@ -155,7 +155,10 @@ def _cmd_critgroup(args) -> int:
     g, name = _load_graph(args)
     cg = critical_group(g)
     bic = bicycle_dimension(g) if g.is_connected() else None
-    order_factored = cg.order_factored()
+    try:
+        order_factored, unfactored = cg.order_factored(), 1
+    except UnfactoredError as exc:  # print what was proven, and the rest
+        order_factored, unfactored = exc.primes, exc.rest
     report = {
         "schema": 1,
         "graph": name,
@@ -170,8 +173,11 @@ def _cmd_critgroup(args) -> int:
         + (" ".join(str(d) for d in cg.invariant_factors) or "(trivial)"),
         f"order: {cg.order}",
         f"order factored: {_factored_str(order_factored)}",
-        f"free rank: {cg.free_rank}",
     ]
+    if unfactored > 1:
+        report["unfactored"] = unfactored
+        lines.append(f"unfactored: {unfactored}")
+    lines.append(f"free rank: {cg.free_rank}")
     if bic is not None:
         lines.append(f"bicycle dimension: {bic}")
     _emit(args, report, "\n".join(lines) + "\n")

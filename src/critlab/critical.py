@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .arith import factorize
+from .arith import UnfactoredError, factorize, valuation
 from .exact import cokernel_invariants, determinant, rank_mod_p
 from .graphs import Graph, InfeasibleParametersError, SrgSpectrum, laplacian_matrix
 from .intmatrix import IntMatrix
@@ -39,10 +39,22 @@ class CriticalGroup:
     free_rank: int
 
     def order_factored(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for d in self.invariant_factors:
-            for p, e in factorize(d).items():
-                out[p] = out.get(p, 0) + e
+        """The order as {prime: exponent}, ascending.
+
+        Every prime of the order divides the largest invariant factor, so
+        only that one is factored; exponents are valuations of the order.
+        An ``UnfactoredError`` is re-raised with the order's proven primes
+        and its unfactored rest.
+        """
+        if not self.invariant_factors:
+            return {}
+        try:
+            primes, rest = factorize(self.invariant_factors[-1]), 1
+        except UnfactoredError as exc:
+            primes, rest = exc.primes, exc.rest
+        out = {p: valuation(self.order, p) for p in primes}
+        if rest > 1:
+            raise UnfactoredError(out, self.order // prod(p**e for p, e in out.items()))
         return out
 
 

@@ -3,8 +3,11 @@
 Everything here recomputes results by a route that shares no elimination
 code with the library: spanning trees by exhaustive subset enumeration,
 Smith forms from determinantal divisors (gcds of k x k minors), bicycle
-dimensions by enumerating the binary cut space, and elementary-divisor
-profiles read off an integer Smith form.
+dimensions by enumerating the binary cut space, elementary-divisor
+profiles read off an integer Smith form, and primality and factorization
+by plain trial division.  The trial-division pair is the independent
+reference for the library's Miller-Rabin ``is_prime`` and Pollard-Brent
+rho ``factorize``; it is exact but slow beyond about 2^40.
 """
 
 from itertools import combinations
@@ -146,3 +149,30 @@ def random_int_matrix(rng, max_dim=8, lo=-20, hi=20) -> IntMatrix:
     return IntMatrix(
         rows, cols, [rng.randint(lo, hi) for _ in range(rows * cols)]
     )
+
+
+def trial_division_is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def trial_division_factorize(n: int) -> dict[int, int]:
+    """Prime factorization of n >= 1 as {prime: exponent}, ascending."""
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out

@@ -1,11 +1,28 @@
 import io
 import json
+import random
 import shlex
+import time
+from math import prod
 from pathlib import Path
 
+from critlab import Graph, format_edge_list
 from critlab.cli import build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def cycle_plus_chords_file(tmp_path, seed, n, chords):
+    # an n-cycle plus `chords` random draws, loops dropped, as an edge list
+    rng = random.Random(seed)
+    edges = {(i, (i + 1) % n) for i in range(n)}
+    for _ in range(chords):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((u, v))
+    path = tmp_path / f"random{seed}.txt"
+    path.write_text(format_edge_list(Graph(n, edges)))
+    return str(path)
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -81,6 +98,33 @@ class TestCritgroupCommand:
         assert code == 0
         assert json.loads(out)["order_factored"] == {"3": 1}
 
+    def test_roadmap_graph_factors_its_72_bit_prime(self, capsys, tmp_path):
+        path = cycle_plus_chords_file(tmp_path, 1, 40, 60)
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, ["critgroup", "--edges", path])
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert "order factored: 2^2 * 2496524103974833762451\nfree rank: 1\n" in out
+        assert "unfactored" not in out
+
+    def test_unfactored_cofactor(self, capsys, tmp_path):
+        # a 225-bit order whose 163-bit cofactor is a product of primes
+        # beyond the rho budget
+        path = cycle_plus_chords_file(tmp_path, 608, 60, 480)
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, ["critgroup", "--edges", path, "--format", "json"])
+        assert time.perf_counter() - start < 2
+        assert code == 0
+        report = json.loads(out)
+        (order,) = report["invariant_factors"]
+        assert order.bit_length() == 225
+        proven = prod(int(p) ** e for p, e in report["order_factored"].items())
+        assert proven * report["unfactored"] == order
+        assert report["unfactored"] > 1 << 100
+        code, out, _ = run_cli(capsys, ["critgroup", "--edges", path])
+        line = "order factored: 59 * 67 * 401 * 487 * 4865255519"
+        assert f"{line}\nunfactored: {report['unfactored']}\nfree rank: 1\n" in out
+
     def test_both_sources_rejected(self, capsys, tmp_path):
         path = tmp_path / "k3.txt"
         path.write_text("3 3\n0 1\n1 2\n0 2\n")
@@ -115,6 +159,21 @@ class TestProfileCommand:
         code, _, err = run_cli(capsys, ["profile", "--graph", "k3", "--prime", "4"])
         assert code == 1
         assert "not a prime" in err
+
+    def test_mersenne_61_prime(self, capsys):
+        code, out, _ = run_cli(
+            capsys, ["profile", "--graph", "petersen", "--prime", "2305843009213693951"]
+        )
+        assert code == 0
+        assert out == "p=2305843009213693951 multiplicities=(9) kernel_rank=1 total_valuation=0\n"
+
+    def test_prime_beyond_primality_test_exits_1(self, capsys):
+        code, out, err = run_cli(
+            capsys, ["profile", "--graph", "petersen", "--prime", "618970019642690137449562111"]
+        )
+        assert code == 1
+        assert out == ""
+        assert "no deterministic primality test for a 89-bit n" in err
 
     def test_prime_required(self, capsys):
         code, _, _ = run_cli(capsys, ["profile", "--graph", "k3"])
