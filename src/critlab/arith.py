@@ -4,11 +4,11 @@ Everything here is exact arbitrary-precision arithmetic on Python ints.
 Primality is deterministic Miller-Rabin with the first thirteen primes as
 bases, which has no false positive below ``_MR_LIMIT`` (about 3.3e24;
 Sorenson and Webster, Math. Comp. 86, 2017); above it ``is_prime`` raises
-rather than guess.  Factoring trial-divides by the primes below 2^10 and
-splits what is left with Pollard-Brent rho (Brent, BIT 20, 1980) under a
-fixed budget of ``_RHO_STEPS`` steps per call.  A cofactor that the budget
-does not split, or that is too large to prove prime, is never reported as
-a prime: ``factorize`` raises ``UnfactoredError``, which carries the primes
+rather than guess.  Factoring trial-divides by the primes below 2^10,
+takes roots of perfect powers and splits what is left with Pollard-Brent
+rho (Brent, BIT 20, 1980) under a fixed budget of ``_RHO_STEPS`` steps per
+call.  A cofactor that the budget does not split, or that is too large to
+prove prime, is never reported as a prime: ``factorize`` raises ``UnfactoredError``, which carries the primes
 it did prove and the unfactored rest.
 """
 
@@ -145,11 +145,30 @@ def factorize(n: int) -> dict[int, int]:
                 n //= p
                 e += 1
             out[p] = e
-    else:
-        return _split_cofactor(n, out)
+    else:  # the loop ran out of small primes before d * d > n
+        return _split_cofactor(n, out) if n > 1 else out
     if n > 1:
         out[n] = 1
     return out
+
+
+def _perfect_power(n: int) -> tuple[int, int]:
+    """(r, k) with n = r^k for the smallest prime k, or (n, 1) if there is none.
+
+    Only for an n with no prime factor below 2^10, so r >= 2^10 bounds k.
+    """
+    for k in _SMALL_PRIMES:
+        if k * 10 > n.bit_length():
+            break
+        x = 1 << -(-n.bit_length() // k)  # above the k-th root; Newton from above
+        while True:
+            y = ((k - 1) * x + n // x ** (k - 1)) // k
+            if y >= x:
+                break
+            x = y
+        if x**k == n:
+            return x, k
+    return n, 1
 
 
 def _split_cofactor(n: int, out: dict[int, int]) -> dict[int, int]:
@@ -162,6 +181,10 @@ def _split_cofactor(n: int, out: dict[int, int]) -> dict[int, int]:
                 out[m] = out.get(m, 0) + 1
             else:  # almost surely prime, so rho would only burn the budget
                 rest *= m
+            continue
+        root, k = _perfect_power(m)
+        if k > 1:  # rho splits p^k only after about sqrt(p) steps
+            pending += [root] * k
             continue
         d, steps = _brent(m, steps)
         if d is None:

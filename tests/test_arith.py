@@ -28,6 +28,27 @@ class TestAgainstTrialDivision:
             assert list(factorize(n).items()) == list(expected.items())
             assert is_prime(n) == (expected == {n: 1})
 
+    @pytest.mark.parametrize(
+        "n",
+        # the largest small prime divides n down to 1 after the trial loop
+        # has run through every small prime
+        [1021**2, 6 * 1021**3, 2**40 * 1021**2, 1021**2 * 1031, 1019**2 * 1021**2],
+    )
+    def test_last_small_prime_squared(self, n):
+        expected = trial_division_factorize(n)
+        assert list(factorize(n).items()) == list(expected.items())
+        assert not is_prime(n)
+
+    def test_seeded_smooth_n(self):
+        # every prime factor at most 1021, so trial division alone finishes
+        rng = random.Random(1021)
+        primes = [p for p in range(2, _TRIAL_LIMIT) if trial_division_is_prime(p)]
+        for _ in range(500):
+            # half the draws from the largest primes, whose squares end the loop
+            pool = primes[-8:] if rng.random() < 0.5 else primes
+            n = prod(rng.choice(pool) ** rng.randint(1, 3) for _ in range(rng.randint(1, 5)))
+            assert list(factorize(n).items()) == list(trial_division_factorize(n).items())
+
     def test_nonpositive_rejected(self):
         for n in (0, -6):
             with pytest.raises(ValueError):
@@ -79,6 +100,16 @@ class TestPollardRho:
         n = prod(ps) * ps[1]
         assert list(factorize(n).items()) == [(ps[0], 1), (ps[1], 2), (ps[2], 1), (ps[3], 1)]
 
+    def test_powers_of_primes_beyond_the_budget(self):
+        # rho alone needs about sqrt(p) steps on p^k, far past the budget
+        p, q = 2**61 - 1, _next_prime(1 << 50)
+        assert factorize(p**2) == {p: 2}
+        assert factorize(4 * q**3) == {2: 2, q: 3}
+        assert factorize(q**6) == {q: 6}  # a square root that is a cube
+        # the root p*r splits by rho, through its 25-bit prime r
+        r = _next_prime(1 << 24)
+        assert factorize(1031 * (p * r) ** 6) == {1031: 1, r: 6, p: 6}
+
     def test_agrees_with_sympy_on_semiprimes(self):
         sympy = pytest.importorskip("sympy")
         rng = random.Random(2718281)
@@ -111,6 +142,10 @@ class TestUnfactoredRest:
     def test_large_probable_prime_is_not_reported_prime(self):
         p = 2**89 - 1
         assert _unfactored(4 * p) == ({2: 2}, p)
+
+    def test_power_of_a_large_probable_prime(self):
+        p = 2**89 - 1
+        assert _unfactored(3 * p**2) == ({3: 1}, p**2)
 
     def test_rest_has_no_small_factor(self):
         p = _next_prime(1 << 30)
