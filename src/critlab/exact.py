@@ -14,10 +14,12 @@ and each other:
   produces the full invariant-factor chain of any matrix.  It is the engine
   of ``critlab snf``.
 * ``elem_divisor_profile`` never forms the integer Smith form; it eliminates
-  modulo p^B with valuation-aware pivoting (``_eliminate_mod``), which keeps
-  entries bounded and gives the per-prime structure.  The same kernel, with
-  a column tracker, gives the filtration levels in ``filtration.py``, so the
-  filtration identities are not an independent check of the profile.
+  modulo p^b with valuation-aware pivoting (``_eliminate_mod``), which keeps
+  entries bounded and gives the per-prime structure; b grows until a
+  certificate shows that every nonzero divisor has been found.  The same
+  kernel, with a column tracker, gives the filtration levels in
+  ``filtration.py``, so the filtration identities are not an independent
+  check of the profile.
 
 ``rank_mod_p`` is Gaussian elimination over F_p.  Through its row kernel
 ``_rank_rows_mod_p`` it is the engine of the bicycle dimension and of every
@@ -356,11 +358,13 @@ class ElemDivisorProfile:
 
 
 def _valuation_bound(m: IntMatrix, p: int) -> int:
-    """Upper bound on v_p(product of nonzero invariant factors).
+    """Upper bound H on v_p(product of nonzero invariant factors).
 
     The product of the nonzero invariant factors divides the gcd of the
     maximal-rank minors, and every minor is Hadamard-bounded by the product
-    of the row norms; so v_p is at most log_p of that product.
+    of the row norms; so v_p is at most log_p of that product.  H bounds the
+    largest exponent too, so p^(H + 1) is the ceiling of the precisions that
+    ``elem_divisor_profile`` tries.
     """
     prod2 = 1
     for i in range(m.rows):
@@ -381,20 +385,24 @@ def elem_divisor_profile(
 ) -> ElemDivisorProfile:
     """Per-prime elementary-divisor multiplicities without integer SNF.
 
-    Eliminates modulo p^B, pivoting on a minimal-p-valuation entry at each
-    stage; the pivot valuations are then exactly the p-exponents of the
-    elementary divisors.  B must exceed every true exponent: the default is
-    a Hadamard-style bound plus one; pass ``val_bound`` (any upper bound on
-    v_p of the product of nonzero invariant factors, e.g. the valuation of a
-    known spanning-tree count) to tighten it.
+    Eliminates modulo p^b, pivoting on a minimal-p-valuation entry at each
+    stage (``_eliminate_mod``); the pivots are exactly the elementary
+    divisors whose p-exponent is below b.  ``val_bound``, if given, is any
+    upper bound on the largest exponent (a total valuation, such as that of
+    a known spanning-tree count, also qualifies), and one pass runs at
+    b = val_bound + 1.  Otherwise ``_certified_exponents`` finds b
+    adaptively and stops only on a certificate that no nonzero divisor is
+    missing; it never goes above the Hadamard ceiling H + 1.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     size = min(m.rows, m.cols)
     if size == 0:
         return ElemDivisorProfile(p, (), 0)
-    B = (val_bound if val_bound is not None else _valuation_bound(m, p)) + 1
-    exps = _eliminate_mod(m, p, B)
+    if val_bound is not None:
+        exps = _eliminate_mod(m, p, val_bound + 1)
+    else:
+        exps = _certified_exponents(m, p)
     if exps:
         mult_list = [0] * (max(exps) + 1)
         for v in exps:
@@ -402,6 +410,38 @@ def elem_divisor_profile(
     else:
         mult_list = []
     return ElemDivisorProfile(p, tuple(mult_list), size - len(exps))
+
+
+def _certified_exponents(m: IntMatrix, p: int) -> list[int]:
+    """Pivot exponents of every nonzero elementary divisor, precision adaptive.
+
+    A pass modulo p^b finds exactly the divisors with exponent < b.  The
+    loop doubles b from 2 and stops when one of two certificates says none
+    is missing:
+
+    (a) the pivot count reaches an upper bound on the rank over Q: columns
+        minus one when every row sums to 0 (the all-ones vector is in the
+        kernel), rows minus one when every column sums to 0, and
+        min(rows, cols) otherwise;
+    (b) sum(exponents) + b > H, the Hadamard bound on the total valuation
+        (``_valuation_bound``): a missing divisor has exponent >= b.
+
+    b is capped at H + 1, where (b) always holds.  Without a zero-sum row or
+    column certificate, (a) needs full rank, which rank-deficient inputs
+    never reach, so those make one pass at H + 1 instead of doubling.
+    """
+    ceiling = _valuation_bound(m, p) + 1
+    rows = [m.row(i) for i in range(m.rows)]
+    cap = min(
+        m.rows - all(sum(col) == 0 for col in zip(*rows)),
+        m.cols - all(sum(row) == 0 for row in rows),
+    )
+    b = min(2, ceiling) if cap < min(m.rows, m.cols) else ceiling
+    while True:
+        exps = _eliminate_mod(m, p, b)
+        if len(exps) >= cap or sum(exps) + b >= ceiling:
+            return exps
+        b = min(2 * b, ceiling)
 
 
 def _eliminate_mod(

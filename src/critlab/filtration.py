@@ -21,15 +21,18 @@ every level i <= b:
 * N_i is generated by the images of those generators under m, divided by
   p^i.
 
-``verify_filtration_dims`` runs that elimination once, modulo p^depth for
-its deepest level, and measures each dimension as the rank mod p of these
-generators as plain rows, building no lattice.  The kernel over Z is
-saturated, so its dimension mod p is the column count minus the rank.  The
-expected side comes from ``elem_divisor_profile``, which runs the same
-elimination kernel, so the two sides are not independent.  The anchors are
-the tests against the integer Smith form (``snf``) and against
-``filtration_M`` / ``filtration_N``, which build the echelon ``Lattice`` of
-one level from their own elimination modulo p^i; no CLI command uses them.
+``verify_filtration_dims`` runs that elimination once, modulo p^depth
+with depth = max exponent + 1, and measures the dimensions of levels 0
+through depth as the rank mod p of these generators as plain rows, building
+no lattice.  Beyond depth both chains are provably constant, so the report
+repeats the level-depth values up to level total valuation + 1 instead of
+measuring them.  The kernel over Z is saturated, so its dimension mod p is
+the column count minus the rank.  The expected side comes from
+``elem_divisor_profile``, which runs the same elimination kernel, so the
+two sides are not independent.  The anchors are the tests against the
+integer Smith form (``snf``) and against ``filtration_M`` /
+``filtration_N``, which build the echelon ``Lattice`` of one level from
+their own elimination modulo p^i; no CLI command uses them.
 """
 
 from __future__ import annotations
@@ -126,18 +129,26 @@ def verify_filtration_dims(m: IntMatrix, p: int) -> FiltrationReport:
 
     The expected dimensions come from ``elem_divisor_profile``.  The
     measured ones are the ranks mod p of each level's generators
-    (``_level_generators``); the kernel's is m.cols minus the rank.  Depth
-    is capped at 1 + v_p(product of invariant factors), beyond which both
-    chains are provably stable.
+    (``_level_generators``); the kernel's is m.cols minus the rank.
+
+    Levels 0 through depth = max exponent + 1 (``len(e)``) are measured, on
+    one elimination modulo p^depth.  Past the largest exponent both chains
+    are constant: every pivot generator p^(i - v_k) q_k of M_i is 0 mod p,
+    so M_i mod p is spanned by the other columns of the unimodular q, and
+    N_i is the saturation of the image.  The report then repeats level
+    depth, without measuring it, up to level 1 + v_p(product of invariant
+    factors).
     """
     profile = elem_divisor_profile(m, p)
-    depth = profile.total_valuation + 1
+    e = profile.multiplicities
+    depth = len(e)
+    top = profile.total_valuation + 1
     # the integer kernel is saturated, so its reduction mod p keeps its rank
     kernel_dim = m.cols - profile.rank
     level = _level_generators(m, p, depth)
-    levels = range(depth + 1)
-    dims_m, dims_n = zip(*([_rank_rows_mod_p(g, p) for g in level(i)] for i in levels))
-    e = profile.multiplicities
+    dims = [[_rank_rows_mod_p(g, p) for g in level(i)] for i in range(depth + 1)]
+    dims_m, dims_n = zip(*(dims + dims[-1:] * (top - depth)))
+    levels = range(top + 1)
     expect_m = tuple(kernel_dim + sum(e[i:]) for i in levels)
     expect_n = tuple(sum(e[: i + 1]) for i in levels)
     passed = dims_m == expect_m and dims_n == expect_n

@@ -1,7 +1,10 @@
 import io
 import json
+import os
 import random
 import shlex
+import subprocess
+import sys
 import time
 from math import prod
 from pathlib import Path
@@ -9,7 +12,8 @@ from pathlib import Path
 from critlab import Graph, format_edge_list
 from critlab.cli import build_parser, main
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def cycle_plus_chords_file(tmp_path, seed, n, chords):
@@ -297,6 +301,33 @@ class TestUsage:
         report = json.loads(out)
         assert (report["n"], report["m"]) == (50, 175)
         assert report["regular"] is True
+
+
+class TestModuleEntryPoint:
+    """``python -m critlab`` from a checkout, with only src on the path."""
+
+    @staticmethod
+    def run_module(*argv):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        return subprocess.run(
+            [sys.executable, "-m", "critlab", *argv],
+            cwd=ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+
+    def test_same_output_as_main(self, capsys):
+        argv = ["profile", "--graph", "petersen", "--prime", "2", "--prime", "5"]
+        done = self.run_module(*argv)
+        assert (done.returncode, done.stdout) == run_cli(capsys, argv)[:2]
+        assert done.stdout.startswith("p=2 multiplicities=(5,4)")
+
+    def test_exit_code(self):
+        done = self.run_module("profile", "--graph", "petersen", "--prime", "4")
+        assert done.returncode == 1
+        assert "not a prime" in done.stderr
 
 
 class TestRepeatedCalls:

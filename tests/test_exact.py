@@ -15,7 +15,8 @@ from critlab import (
     rank_mod_p,
     snf,
 )
-from critlab.exact import _eliminate_mod
+from critlab import exact
+from critlab.exact import _eliminate_mod, _valuation_bound
 from oracles import profile_from_snf, random_int_matrix, snf_from_determinantal_divisors
 
 
@@ -215,6 +216,158 @@ class TestElemDivisorProfile:
                 assert sum(prof.multiplicities) + prof.kernel_rank == min(
                     m.rows, m.cols
                 )
+
+
+def _weighted_laplacian(rng, n, p, signed=True):
+    """Rows of D - W for a random symmetric weight matrix W, some weights
+    divisible by p^1..p^3.  With ``signed`` false the weights are positive
+    on a spanning path, so the graph is connected and the rank is n - 1."""
+    w = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if j == i + 1 and not signed:
+                x = rng.randint(1, 4)
+            elif rng.random() < 0.5:
+                x = rng.randint(-4 if signed else 1, 4)
+            else:
+                continue
+            w[i][j] = w[j][i] = x * p ** rng.choice((0, 0, 1, 2, 3))
+    return [[-x if i != j else sum(w[i]) for j, x in enumerate(w[i])] for i in range(n)]
+
+
+def _zero_row_sum_rows(rng, rows, cols, p):
+    """Random rows whose last entry cancels the others, some scaled by a
+    power of p."""
+    out = []
+    for _ in range(rows):
+        row = [rng.randint(-9, 9) for _ in range(cols - 1)]
+        scale = p ** rng.choice((0, 0, 1, 3))
+        out.append([scale * x for x in row + [-sum(row)]])
+    return out
+
+
+def _block_diagonal(blocks):
+    n = sum(len(b) for b in blocks)
+    rows, at = [], 0
+    for b in blocks:
+        rows += [[0] * at + row + [0] * (n - at - len(row)) for row in b]
+        at += len(b)
+    return rows
+
+
+_ZERO_SUM_SHAPES = [(4, 4), (6, 6), (3, 5), (2, 6), (5, 3), (6, 2)]
+
+
+class TestCertifiedPrecision:
+    """The adaptive profile against one pass at the Hadamard ceiling and snf."""
+
+    @pytest.fixture
+    def tried(self, monkeypatch):
+        """The precisions b of every _eliminate_mod pass that a profile makes."""
+        seen = []
+
+        def recorder(m, p, b, track=None):
+            seen.append(b)
+            return _eliminate_mod(m, p, b, track)
+
+        monkeypatch.setattr(exact, "_eliminate_mod", recorder)
+        return seen
+
+    @staticmethod
+    def check(m, p, tried):
+        """The adaptive profile of m at p, and the precisions it tried."""
+        tried.clear()
+        prof = elem_divisor_profile(m, p)
+        precisions = tuple(tried)
+        ceiling = _valuation_bound(m, p) + 1
+        assert precisions and max(precisions) <= ceiling
+        assert prof == elem_divisor_profile(m, p, val_bound=ceiling - 1)
+        assert (prof.multiplicities, prof.kernel_rank) == profile_from_snf(
+            snf(m).invariant_factors, p
+        )
+        return prof, precisions
+
+    def test_zero_row_sums_symmetric(self, tried):
+        rng = random.Random(4242)
+        doubled = 0
+        for k in range(30):
+            for p in (2, 3, 5):
+                m = IntMatrix.from_rows(_weighted_laplacian(rng, 2 + k % 6, p))
+                _, precisions = self.check(m, p, tried)
+                assert precisions[0] == min(2, _valuation_bound(m, p) + 1)
+                doubled += len(precisions) > 1
+        assert doubled >= 10
+
+    def test_zero_row_sums_not_symmetric(self, tried):
+        rng = random.Random(4343)
+        for k in range(36):
+            r, c = _ZERO_SUM_SHAPES[k % len(_ZERO_SUM_SHAPES)]
+            for p in (2, 3, 5):
+                self.check(IntMatrix.from_rows(_zero_row_sum_rows(rng, r, c, p)), p, tried)
+
+    def test_zero_column_sums(self, tried):
+        rng = random.Random(4444)
+        for k in range(36):
+            r, c = _ZERO_SUM_SHAPES[k % len(_ZERO_SUM_SHAPES)]
+            for p in (2, 3, 5):
+                m = IntMatrix.from_rows(_zero_row_sum_rows(rng, c, r, p)).transpose()
+                self.check(m, p, tried)
+
+    def test_wide_zero_row_sums_keep_full_row_rank(self, tried):
+        # rows sum to 0, yet the rank is min(rows, cols) = 2: the all-ones
+        # kernel vector lowers only the column count, so the rank bound stays
+        # 2 and a pass at p^2, with its single pivot, must not stop the loop
+        for p in (2, 3, 5):
+            m = IntMatrix.from_rows([[1, -1, 0], [0, p**5, -(p**5)]])
+            prof, precisions = self.check(m, p, tried)
+            assert prof.multiplicities == (1, 0, 0, 0, 0, 1)
+            assert prof.kernel_rank == 0
+            assert precisions == (_valuation_bound(m, p) + 1,)
+
+    def test_disconnected_laplacians_stop_on_the_valuation_bound(self, tried):
+        rng = random.Random(4545)
+        early = 0
+        for k in range(20):
+            p = (2, 3, 5)[k % 3]
+            blocks = [
+                _weighted_laplacian(rng, rng.randint(1, 4), p, signed=False)
+                for _ in range(2 + k % 2)
+            ]
+            m = IntMatrix.from_rows(_block_diagonal(blocks))
+            prof, precisions = self.check(m, p, tried)
+            # rank n - components never reaches the cap n - 1 of rule (a)
+            assert prof.rank == m.rows - len(blocks)
+            assert prof.total_valuation + precisions[-1] > _valuation_bound(m, p)
+            early += precisions[-1] <= _valuation_bound(m, p)
+        # rule (b) stops most of them below the ceiling H + 1
+        assert early >= 10
+
+    def test_deep_exponent_forces_four_doublings(self, tried):
+        for p in (2, 3, 5):
+            x = p**20
+            prof, precisions = self.check(IntMatrix.from_rows([[x, -x], [-x, x]]), p, tried)
+            assert precisions == (2, 4, 8, 16, 32)
+            assert prof.multiplicities == (0,) * 20 + (1,)
+            assert prof.kernel_rank == 1
+
+    def test_rank_deficient_tall_matrices_make_one_pass(self, tried):
+        rng = random.Random(4646)
+        for k in range(24):
+            c = 2 + k % 5
+            a = [[rng.randint(-5, 5) for _ in range(c - 1)] for _ in range(c + 2)]
+            b = [[rng.randint(-5, 5) for _ in range(c)] for _ in range(c - 1)]
+            m = IntMatrix.from_rows(a) @ IntMatrix.from_rows(b)
+            for p in (2, 3, 5):
+                prof, precisions = self.check(m, p, tried)
+                assert prof.rank < c
+                assert precisions == (_valuation_bound(m, p) + 1,)
+
+    def test_hoffman_singleton_p5_tries_2_then_4(self, tried):
+        lap = laplacian_matrix(hoffman_singleton_graph())
+        prof = elem_divisor_profile(lap, 5)
+        assert tuple(tried) == (2, 4)
+        assert prof.multiplicities == (21, 9, 19)
+        assert prof.kernel_rank == 1
 
 
 class TestEliminateMod:

@@ -13,8 +13,12 @@ from critlab import (
     laplacian_matrix,
     petersen_graph,
     snf,
+    elem_divisor_profile,
     verify_filtration_dims,
 )
+from critlab import filtration
+from critlab.exact import _rank_rows_mod_p
+from critlab.filtration import _level_generators
 from oracles import profile_from_snf, random_int_matrix
 
 
@@ -219,3 +223,68 @@ class TestHoffmanSingleton:
         for i in (0, 1):
             assert rep.dims_M[i] == filtration_M(lap, 5, i).dim_mod(5)
             assert rep.dims_N[i] == filtration_N(lap, 5, i).dim_mod(5)
+
+
+class TestFiltrationDepth:
+    """Levels past max exponent + 1 are emitted as constant, not measured."""
+
+    def test_hoffman_singleton_measures_four_levels(self, monkeypatch):
+        calls = []
+
+        def counting(rows, p):
+            calls.append(p)
+            return _rank_rows_mod_p(rows, p)
+
+        monkeypatch.setattr(filtration, "_rank_rows_mod_p", counting)
+        rep = verify_filtration_dims(laplacian_matrix(hoffman_singleton_graph()), 5)
+        # two ranks for each of the levels 0..3, not for all 49
+        assert len(calls) == 8
+        assert rep.passed
+        assert rep.dims_M == (50, 29, 20) + (1,) * 46
+        assert rep.dims_N == (21, 30) + (49,) * 47
+        assert rep.kernel_dim == 1
+
+    def test_emitted_tail_equals_full_depth_ranks(self):
+        tails = 0
+        for p in (2, 3, 5):
+            for m in _matrices_with_p_divisors(p, 20):
+                rep = verify_filtration_dims(m, p)
+                prof = elem_divisor_profile(m, p)
+                depth, top = len(prof.multiplicities), prof.total_valuation + 1
+                assert rep.passed
+                assert rep.max_i == top
+                level = _level_generators(m, p, top)
+                for i in range(depth + 1, top + 1):
+                    dom, img = level(i)
+                    measured = (_rank_rows_mod_p(dom, p), _rank_rows_mod_p(img, p))
+                    assert (rep.dims_M[i], rep.dims_N[i]) == measured
+                    tails += 1
+        assert tails >= 150
+
+
+def _unimodular(rng, n):
+    """A random integer n x n matrix of determinant +-1, n >= 2."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        f = rng.choice((-2, -1, 1, 2))
+        u[i] = [x + f * y for x, y in zip(u[i], u[j])]
+    rng.shuffle(u)
+    return IntMatrix.from_rows(u)
+
+
+def _matrices_with_p_divisors(p, count):
+    """Seeded U D V with unimodular U, V and several divisors p^1..p^3 on
+    the diagonal D, some rank-deficient, so the total valuation is well
+    above the largest exponent and the emitted tail is long."""
+    rng = random.Random(f"tail:{p}")
+    shapes = [(4, 4), (5, 5), (3, 5), (5, 3), (6, 4)]
+    out = []
+    for k in range(count):
+        r, c = shapes[k % len(shapes)]
+        rank = min(r, c) - (k % 3 == 0)
+        d = [[0] * c for _ in range(r)]
+        for t in range(rank):
+            d[t][t] = p ** rng.choice((0, 1, 1, 2, 3)) * rng.choice((1, 2, 3, 4, 6, 7))
+        out.append(_unimodular(rng, r) @ IntMatrix.from_rows(d) @ _unimodular(rng, c))
+    return out
