@@ -155,6 +155,12 @@ def _cmd_critgroup(args) -> int:
     g, name = _load_graph(args)
     cg = critical_group(g)
     bic = bicycle_dimension(g) if g.is_connected() else None
+    if bic is not None:
+        even = sum(x % 2 == 0 for x in cg.invariant_factors)
+        if bic != even:
+            raise ContradictionError(
+                f"bicycle dimension {bic} differs from the {even} even invariant factors"
+            )
     try:
         order_factored, unfactored = cg.order_factored(), 1
     except UnfactoredError as exc:  # print what was proven, and the rest

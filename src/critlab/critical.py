@@ -5,12 +5,13 @@ The Laplacian is block-diagonal over the connected components, and each
 block has cokernel Z plus the cokernel of its reduced Laplacian (one vertex
 row and column deleted), whose determinant is the component's spanning-tree
 count.  So the invariant factors come from ``exact.cokernel_invariants`` on
-the reduced Laplacians, which eliminates modulo that determinant and never
-forms the integer Smith form; ``snf`` of the full Laplacian is the
-independent check.  The number of even invariant factors of a connected
-graph equals the dimension of the binary bicycle space, which is n minus
-the component count (1, or 0 for the empty graph) minus the rank of the
-Laplacian over F_2.
+the reduced Laplacians, built from the adjacency lists.  It eliminates
+modulo a certified multiple of the exponent, found with the determinant,
+and never forms the integer Smith form; ``snf`` of the full Laplacian is
+the independent check.  The number of even invariant factors of a
+connected graph equals the dimension of the binary bicycle space, which is
+n minus the component count (1, or 0 for the empty graph) minus the rank
+of the Laplacian over F_2, taken on rows packed as int bitsets.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 from math import prod
 
 from .arith import UnfactoredError, factorize, valuation
-from .exact import cokernel_invariants, determinant, rank_mod_p
-from .graphs import Graph, InfeasibleParametersError, SrgSpectrum, laplacian_matrix
+from .exact import _rank_f2, cokernel_invariants, determinant
+from .graphs import Graph, InfeasibleParametersError, SrgSpectrum
 from .intmatrix import IntMatrix
 
 
@@ -58,17 +59,30 @@ class CriticalGroup:
         return out
 
 
-def _reduced_laplacian(lap: list[list[int]], vertices: list[int]) -> IntMatrix:
-    """Laplacian rows and columns of ``vertices``, less the first vertex."""
+def _reduced_laplacian(nbrs: list[list[int]], vertices: list[int]) -> IntMatrix:
+    """Laplacian rows and columns of ``vertices``, less the first vertex.
+
+    Built from the adjacency lists ``nbrs``; the diagonal keeps the full
+    degree, so neighbours outside ``vertices`` count there.
+    """
     keep = vertices[1:]
-    return IntMatrix.from_rows([[lap[i][j] for j in keep] for i in keep])
+    pos = {v: i for i, v in enumerate(keep)}
+    rows = []
+    for u in keep:
+        row = [0] * len(keep)
+        for v in nbrs[u]:
+            if v in pos:
+                row[pos[v]] = -1
+        row[pos[u]] = len(nbrs[u])
+        rows.append(row)
+    return IntMatrix.from_rows(rows)
 
 
 def critical_group(g: Graph) -> CriticalGroup:
     """Critical group from the reduced Laplacians of the components."""
-    lap = laplacian_matrix(g).to_rows()
+    nbrs = g.neighbors()
     components = g.components()
-    factors = cokernel_invariants(_reduced_laplacian(lap, c) for c in components)
+    factors = cokernel_invariants(_reduced_laplacian(nbrs, c) for c in components)
     return CriticalGroup(factors, prod(factors), len(components))
 
 
@@ -80,8 +94,7 @@ def spanning_tree_count(g: Graph) -> int:
     """
     if g.n == 0:
         raise ValueError("empty graph has no spanning tree count")
-    lap = laplacian_matrix(g).to_rows()
-    return determinant(_reduced_laplacian(lap, list(range(g.n))))
+    return determinant(_reduced_laplacian(g.neighbors(), list(range(g.n))))
 
 
 def bicycle_dimension(g: Graph) -> int:
@@ -95,7 +108,11 @@ def bicycle_dimension(g: Graph) -> int:
     components = g.component_count()
     if components > 1:
         raise ValueError("bicycle dimension is defined here for connected graphs")
-    return g.n - components - rank_mod_p(laplacian_matrix(g), 2)
+    # Laplacian row u mod 2: the neighbours of u, and u itself at odd degree
+    rows = (
+        sum(1 << v for v in nb) | (len(nb) & 1) << u for u, nb in enumerate(g.neighbors())
+    )
+    return g.n - components - _rank_f2(rows)
 
 
 def predicted_order_from_spectrum(spectrum: SrgSpectrum, v: int) -> dict[int, int]:

@@ -3,9 +3,13 @@ ranks over prime fields, and per-prime elementary-divisor profiles.
 
 ``cokernel_invariants`` is the production route to critical groups.  It
 takes the diagonal blocks of a nonsingular matrix, eliminates exactly on
-+-1 pivots, then finishes modulo the determinant d of what remains, which
-is allowed because d*Z^r lies in the column lattice.  Entries stay below d,
-so the coefficient growth of integer elimination never sets in.
++-1 pivots, then finishes modulo s, a multiple of the exponent of what
+remains.  s comes with the determinant d from one Bareiss pass
+(``_bareiss``), as the lcm of the orders of two fixed vectors in the
+cokernel, and a product-equals-d check certifies it; d is the fallback.
+Entries stay below s, so the coefficient growth of integer elimination
+never sets in.  ``determinant`` is the same Bareiss pass without
+right-hand sides.
 
 The other routes are deliberately kept independent oracles that check it
 and each other:
@@ -21,19 +25,26 @@ and each other:
   ``filtration.py``, so the filtration identities are not an independent
   check of the profile.
 
-``rank_mod_p`` is Gaussian elimination over F_p.  Through its row kernel
-``_rank_rows_mod_p`` it is the engine of the bicycle dimension and of every
-filtration dimension; it is an oracle only for the e_0 entry of the profiles.
+``rank_mod_p`` is the rank over F_p.  Its row kernel ``_rank_rows_mod_p``
+runs Gaussian elimination on lists for odd p and, for p = 2, packs rows
+into int bitsets for ``_rank_f2``, an XOR basis; ``_rank_f2`` is also the
+engine of the bicycle dimension, and ``_rank_rows_mod_p`` that of every
+filtration dimension.  It is an oracle only for the e_0 entry of the
+profiles.
 """
 
 from __future__ import annotations
 
+import random
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm, prod
 
 from .arith import is_prime
 from .intmatrix import IntMatrix
+
+# seeds the two right-hand sides whose orders in the cokernel give the modulus
+_RHS_SEED = 2000
 
 
 @dataclass(frozen=True)
@@ -138,28 +149,55 @@ def determinant(m: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if not m.is_square:
         raise ValueError("determinant needs a square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = m.to_rows()
+    return _bareiss(m.to_rows(), ())[0]
+
+
+def _bareiss(
+    a: list[list[int]], rhs: Sequence[Sequence[int]]
+) -> tuple[int, list[list[int]]]:
+    """det(a) and, for each b in ``rhs``, y = det(a) a^-1 b; ``a`` is kept.
+
+    Fraction-free (Bareiss) elimination of [a | b ...]: every entry it forms
+    is a minor of the input, so each division is exact.  y = adj(a) b is
+    integral, so the back substitution, multiplied through by the last
+    pivot, divides exactly too.  A singular a gives (0, []).
+    """
+    n = len(a)
+    width = n + len(rhs)
+    w = [row + [b[i] for b in rhs] for i, row in enumerate(a)]
     sign = 1
     prev = 1
     for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), -1)
+        wk = w[k]
+        if wk[k] == 0:
+            swap = next((i for i in range(k + 1, n) if w[i][k]), -1)
             if swap < 0:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
+                return 0, []
+            w[k], w[swap] = w[swap], wk
+            wk = w[k]
             sign = -sign
-        pk = a[k][k]
+        pk = wk[k]
         for i in range(k + 1, n):
-            ai, ak = a[i], a[k]
-            aik = ai[k]
-            for j in range(k + 1, n):
-                ai[j] = (ai[j] * pk - aik * ak[j]) // prev
-            ai[k] = 0
+            wi = w[i]
+            f = wi[k]
+            for j in range(k + 1, width):
+                wi[j] = (wi[j] * pk - f * wk[j]) // prev
+            wi[k] = 0
         prev = pk
-    return sign * a[n - 1][n - 1]
+    last = w[n - 1][n - 1] if n else 1
+    if last == 0:
+        return 0, []
+    ys = []
+    for c in range(n, width):
+        y = [0] * n
+        for k in range(n - 1, -1, -1):
+            wk = w[k]
+            acc = last * wk[c]
+            for j in range(k + 1, n):
+                acc -= wk[j] * y[j]
+            y[k] = acc // wk[k]
+        ys.append([sign * x for x in y])
+    return sign * last, ys
 
 
 def cokernel_invariants(blocks: Iterable[IntMatrix]) -> tuple[int, ...]:
@@ -183,22 +221,50 @@ def _torsion_diagonal(a: list[list[int]]) -> list[int]:
 
     First eliminates exactly over Z on +-1 pivots: those steps are
     unimodular, drop one unit invariant factor each and, on sparse matrices
-    such as Laplacians, leave entries small.  What remains has the same
-    |determinant| d, and d*Z^r lies in its column lattice (a @ adj(a) =
-    det(a) * I), so the rest of the elimination may reduce every entry
-    modulo d, which bounds the coefficients.  A diagonal entry x then
-    presents the cyclic factor Z/gcd(x, d).
+    such as Laplacians, leave entries small.  What remains, of |determinant|
+    d, is finished modulo s, a multiple of the exponent of G = coker(a) that
+    is usually far smaller than d (see ``_diagonal_mod``).
+
+    s comes with d from one Bareiss pass (``_bareiss``) on two fixed
+    right-hand sides b: the class of b in G has order d / gcd(d, content(y))
+    for y = det(a) a^-1 b, and s is the lcm of the two orders, so s divides
+    the exponent.  The pass modulo s presents G/sG, whose order is the
+    product of its diagonal; that product equals d = |G| exactly when
+    sG = 0, which certifies the result.  Otherwise the pass is rerun modulo
+    d, which is always a multiple of the exponent.
     """
     a = _unit_pivot_residual(a)
-    d = abs(determinant(IntMatrix.from_rows(a)))
+    rng = random.Random(_RHS_SEED)
+    rhs = [[rng.randint(-9, 9) for _ in a] for _ in range(2)]
+    det, ys = _bareiss(a, rhs)
+    d = abs(det)
     if d == 0:
         raise ValueError("singular block: its cokernel is infinite")
+    s = 1
+    for y in ys:
+        s = lcm(s, d // gcd(d, *y))
+    diagonal = _diagonal_mod(a, s)
+    if prod(diagonal) != d:
+        diagonal = _diagonal_mod(a, d)
+    return [x for x in diagonal if x > 1]
+
+
+def _diagonal_mod(a: list[list[int]], s: int) -> list[int]:
+    """Diagonal presentation of coker([a | s*I]) = G/sG, for square a; a is kept.
+
+    s*Z^r lies in the column lattice of [a | s*I], so the elimination may
+    reduce every entry modulo s, which bounds the coefficients.  It pivots
+    on a minimal-|entry| in the symmetric range mod s; a diagonal entry x
+    then presents the cyclic factor Z/gcd(x, s).  When s is a multiple of
+    the exponent of G = coker(a), G/sG = G.
+    """
     n = len(a)
-    half = d // 2
+    half = s // 2
+    a = [row[:] for row in a]
     for row in a:
         for j, x in enumerate(row):
-            x %= d
-            row[j] = x - d if x > half else x
+            x %= s
+            row[j] = x - s if x > half else x
     diagonal = []
     for t in range(n):
         # smallest nonzero entry of the working submatrix becomes the pivot
@@ -214,8 +280,8 @@ def _torsion_diagonal(a: list[list[int]]) -> list[int]:
             if best == 1:
                 break
         if pi < 0:
-            # the rest is 0 mod d: each remaining factor is Z/d
-            diagonal.extend([d] * (n - t))
+            # the rest is 0 mod s: each remaining factor is Z/s
+            diagonal.extend([s] * (n - t))
             break
         a[t], a[pi] = a[pi], a[t]
         if pj != t:
@@ -232,8 +298,8 @@ def _torsion_diagonal(a: list[list[int]]) -> list[int]:
                 if x:
                     q = x // pivot
                     for j in range(t, n):
-                        y = (rowi[j] - q * rowt[j]) % d
-                        rowi[j] = y - d if y > half else y
+                        y = (rowi[j] - q * rowt[j]) % s
+                        rowi[j] = y - s if y > half else y
                     if rowi[t]:
                         # the remainder is strictly smaller than |pivot|
                         a[t], a[i] = rowi, rowt
@@ -250,8 +316,8 @@ def _torsion_diagonal(a: list[list[int]]) -> list[int]:
             for i in range(t, n):
                 rowi = a[i]
                 rowi[t], rowi[j] = rowi[j], rowi[t]
-        diagonal.append(gcd(pivot, d))
-    return [x for x in diagonal if x > 1]
+        diagonal.append(gcd(pivot, s))
+    return diagonal
 
 
 def _unit_pivot_residual(a: list[list[int]]) -> list[list[int]]:
@@ -308,7 +374,36 @@ def rank_mod_p(m: IntMatrix, p: int) -> int:
 
 
 def _rank_rows_mod_p(rows: Iterable[Sequence[int]], p: int) -> int:
-    """The F_p rank kernel: rank of equal-length integer rows, p prime."""
+    """The F_p rank kernel: rank of equal-length integer rows, p prime.
+
+    F_2 packs each row into an int bitset for ``_rank_f2``; odd p runs
+    Gaussian elimination on lists (``_gauss_rank_mod_p``).
+    """
+    if p == 2:
+        return _rank_f2(sum(1 << j for j, x in enumerate(row) if x & 1) for row in rows)
+    return _gauss_rank_mod_p(rows, p)
+
+
+def _rank_f2(rows: Iterable[int]) -> int:
+    """Rank over F_2 of rows packed as int bitsets (bit j is column j).
+
+    An XOR basis keyed by leading bit: each row is reduced by the basis row
+    with its leading bit until it vanishes or has a new leading bit.
+    """
+    basis: dict[int, int] = {}
+    for r in rows:
+        while r:
+            top = r.bit_length()
+            b = basis.get(top)
+            if b is None:
+                basis[top] = r
+                break
+            r ^= b
+    return len(basis)
+
+
+def _gauss_rank_mod_p(rows: Iterable[Sequence[int]], p: int) -> int:
+    """Rank over F_p, p prime, by Gaussian elimination on lists of residues."""
     a = [[x % p for x in row] for row in rows]
     R = len(a)
     C = len(a[0]) if a else 0

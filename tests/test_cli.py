@@ -95,6 +95,14 @@ class TestCritgroupCommand:
             + '], "order_factored": {"2": 20, "5": 47}, "schema": 1}\n'
         )
 
+    def test_bicycle_contradiction_exits_2(self, capsys, monkeypatch):
+        # Petersen has four even invariant factors
+        monkeypatch.setattr("critlab.cli.bicycle_dimension", lambda g: 3)
+        code, out, err = run_cli(capsys, ["critgroup", "--graph", "petersen"])
+        assert code == 2
+        assert out == ""
+        assert "bicycle dimension 3" in err and "4 even invariant factors" in err
+
     def test_edges_file(self, capsys, tmp_path):
         path = tmp_path / "k3.txt"
         path.write_text("3 3\n0 1\n1 2\n0 2\n")

@@ -1,5 +1,6 @@
 import random
 import time
+from math import prod
 
 import pytest
 
@@ -23,6 +24,7 @@ from critlab import (
     srg_spectrum,
     valuation,
 )
+from critlab import exact
 from oracles import brute_force_spanning_trees, f2_bicycle_dimension
 
 
@@ -57,6 +59,12 @@ def random_graph(seed):
     rng = random.Random(f"critical:{seed}")
     n = rng.randint(10, 40)
     return cycle_plus_chords(seed, n, rng.randint(n // 2, 3 * n // 2))
+
+
+def paley_graph(q):
+    # q prime, q = 1 mod 4: adjacent when the difference is a nonzero square
+    squares = {x * x % q for x in range(1, q)}
+    return Graph(q, [(u, v) for u in range(q) for v in range(u + 1, q) if v - u in squares])
 
 
 def snf_critical_group(g):
@@ -173,6 +181,24 @@ class TestCriticalGroup:
             assert profile.kernel_rank == 1
 
 
+class TestCertifiedModulus:
+    @pytest.mark.parametrize(
+        "g,exponent", [(hoffman_singleton_graph(), 50), (paley_graph(53), 13 * 53)]
+    )
+    def test_srgs_finish_modulo_the_divisor_bound(self, g, exponent, monkeypatch):
+        # the exponent is mu * v here; no pass runs modulo the determinant
+        moduli = []
+        real = exact._diagonal_mod
+        monkeypatch.setattr(exact, "_diagonal_mod", lambda a, s: moduli.append(s) or real(a, s))
+        cg = critical_group(g)
+        assert moduli == [exponent]
+        assert cg.invariant_factors[-1] == exponent
+
+    def test_paley_101_order_from_spectrum(self):
+        predicted = predicted_order_from_spectrum(srg_spectrum(SrgParams(101, 50, 24, 25)), 101)
+        assert critical_group(paley_graph(101)).order == prod(p**e for p, e in predicted.items())
+
+
 class TestSpanningTreeCount:
     def test_k4_cayley(self):
         assert spanning_tree_count(complete_graph(4)) == 16
@@ -220,6 +246,17 @@ class TestBicycleDimension:
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
             bicycle_dimension(Graph(4, [(0, 1), (2, 3)]))
+
+    def test_random_graphs_against_f2_oracle(self):
+        rng = random.Random(1212)
+        done = 0
+        while done < 60:
+            n = rng.randint(1, 12)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            g = Graph(n, rng.sample(pairs, rng.randint(0, len(pairs))))
+            if g.is_connected():
+                assert bicycle_dimension(g) == f2_bicycle_dimension(g)
+                done += 1
 
 
 class TestPredictedOrder:

@@ -147,6 +147,97 @@ class TestCokernelInvariants:
             done += 1
 
 
+def unimodular(rng, n):
+    # a product of random elementary row operations on the identity
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    if n < 2:
+        return IntMatrix.from_rows(rows)
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-3, 3)
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return IntMatrix.from_rows(rows)
+
+
+def disguised_diagonal(rng, diag):
+    # U diag(...) V for random unimodular U and V: the same cokernel
+    n = len(diag)
+    return unimodular(rng, n) @ IntMatrix.diagonal(diag) @ unimodular(rng, n)
+
+
+def record_moduli(monkeypatch):
+    # every modulus the elimination of _torsion_diagonal runs under
+    moduli = []
+    real = exact._diagonal_mod
+
+    def recorder(a, s):
+        moduli.append(s)
+        return real(a, s)
+
+    monkeypatch.setattr(exact, "_diagonal_mod", recorder)
+    return moduli
+
+
+class TestCertifiedModulus:
+    def test_noncyclic_block(self, monkeypatch):
+        moduli = record_moduli(monkeypatch)
+        m = disguised_diagonal(random.Random(12), (2, 4, 4, 12))
+        assert cokernel_invariants([m]) == (2, 4, 4, 12)
+        # the first modulus is an element order, so it divides the exponent
+        assert 12 % moduli[0] == 0
+
+    def test_seeded_blocks_against_snf(self):
+        rng = random.Random(4242)
+        for _ in range(60):
+            chain = [1]
+            for _ in range(rng.randint(1, 7)):
+                chain.append(chain[-1] * rng.choice((1, 1, 2, 3, 5, 6)))
+            m = disguised_diagonal(rng, chain)
+            expected = tuple(d for d in snf(m).invariant_factors if d > 1)
+            assert expected == tuple(d for d in chain if d > 1)
+            assert cokernel_invariants([m]) == expected
+
+    def test_fallback_when_the_right_hand_sides_are_in_the_column_lattice(
+        self, monkeypatch
+    ):
+        real = exact._bareiss
+
+        def in_lattice(a, rhs):
+            # b -> a b: a^-1 b is integral, so both orders are 1 and s = 1
+            return real(a, [[sum(x * y for x, y in zip(row, b)) for row in a] for b in rhs])
+
+        monkeypatch.setattr(exact, "_bareiss", in_lattice)
+        moduli = record_moduli(monkeypatch)
+        rng = random.Random(7)
+        for chain in ((2, 4, 4, 12), (1, 3, 9), (5,)):
+            moduli.clear()
+            m = disguised_diagonal(rng, chain)
+            assert cokernel_invariants([m]) == tuple(d for d in chain if d > 1)
+            d = abs(determinant(m))
+            # the certificate fails modulo 1 and the pass modulo d runs
+            assert moduli == ([1, d] if d > 1 else [1])
+
+    def test_bareiss_solves(self):
+        rng = random.Random(31)
+        done = 0
+        while done < 50:
+            m = random_int_matrix(rng, max_dim=6, lo=-9, hi=9)
+            if not m.is_square:
+                continue
+            a = m.to_rows()
+            rhs = [[rng.randint(-9, 9) for _ in a] for _ in range(2)]
+            det, ys = exact._bareiss(a, rhs)
+            assert a == m.to_rows()
+            assert det == determinant(m)
+            if det:
+                for b, y in zip(rhs, ys):
+                    # a y = det * b
+                    assert [sum(x * z for x, z in zip(row, y)) for row in a] == [
+                        det * x for x in b
+                    ]
+            done += 1
+
+
 class TestRankModP:
     def test_identity(self):
         assert rank_mod_p(IntMatrix.identity(5), 5) == 5
@@ -169,6 +260,25 @@ class TestRankModP:
             m = random_int_matrix(rng, max_dim=6, lo=-15, hi=15)
             for p in (2, 3, 5, 13):
                 assert rank_mod_p(m, p) == elem_divisor_profile(m, p).e(0)
+
+
+class TestRankF2:
+    def test_bitsets_against_the_list_routine(self):
+        rng = random.Random(2222)
+        shapes = [(0, 0), (0, 5), (5, 0), (1, 1)]
+        shapes += [(rng.randint(1, 6), rng.randint(7, 40)) for _ in range(65)]  # wide
+        shapes += [(rng.randint(7, 40), rng.randint(1, 6)) for _ in range(65)]  # tall
+        shapes += [(k, k) for k in (rng.randint(1, 30) for _ in range(66))]
+        for rows, cols in shapes:
+            m = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+            for i in range(rows):
+                if rng.random() < 0.2:
+                    m[i] = [2 * x for x in m[i]]  # a zero row mod 2
+            assert exact._rank_rows_mod_p(m, 2) == exact._gauss_rank_mod_p(m, 2)
+
+    def test_dependent_rows(self):
+        m = [[1, 1, 0], [0, 1, 1], [1, 0, 1], [3, 2, 1]]
+        assert exact._rank_rows_mod_p(m, 2) == exact._gauss_rank_mod_p(m, 2) == 2
 
 
 class TestElemDivisorProfile:
