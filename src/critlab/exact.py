@@ -475,17 +475,12 @@ def _valuation_bound(m: IntMatrix, p: int) -> int:
     return bound
 
 
-def elem_divisor_profile(
-    m: IntMatrix, p: int, val_bound: int | None = None
-) -> ElemDivisorProfile:
+def elem_divisor_profile(m: IntMatrix, p: int) -> ElemDivisorProfile:
     """Per-prime elementary-divisor multiplicities without integer SNF.
 
     Eliminates modulo p^b, pivoting on a minimal-p-valuation entry at each
     stage (``_eliminate_mod``); the pivots are exactly the elementary
-    divisors whose p-exponent is below b.  ``val_bound``, if given, is any
-    upper bound on the largest exponent (a total valuation, such as that of
-    a known spanning-tree count, also qualifies), and one pass runs at
-    b = val_bound + 1.  Otherwise ``_certified_exponents`` finds b
+    divisors whose p-exponent is below b.  ``_certified_exponents`` finds b
     adaptively and stops only on a certificate that no nonzero divisor is
     missing; it never goes above the Hadamard ceiling H + 1.
     """
@@ -494,10 +489,7 @@ def elem_divisor_profile(
     size = min(m.rows, m.cols)
     if size == 0:
         return ElemDivisorProfile(p, (), 0)
-    if val_bound is not None:
-        exps = _eliminate_mod(m, p, val_bound + 1)
-    else:
-        exps = _certified_exponents(m, p)
+    exps = _certified_exponents(m, p)
     if exps:
         mult_list = [0] * (max(exps) + 1)
         for v in exps:

@@ -9,26 +9,25 @@ for the critical group.  Primes whose square does not divide w therefore
 have forced multiplicities (the valuation of the group order), while for
 higher prime powers the admissible multiplicity vectors form a small number
 of one-parameter families cut out by eigenvalue rank inequalities.  This
-module mechanizes that pipeline for arbitrary feasible parameters and any
-prime, which is what lets the same code be validated on the real Moore
+module mechanizes that pipeline for feasible parameters with mu >= 1 and
+any prime, which is what lets the same code be validated on the real Moore
 graphs of valency 2, 3 and 7 and then applied to the hypothetical valency-57
 parameter set (v, k, lam, mu) = (3250, 57, 0, 1).
+
+Every family comes out of one path, whatever the bound exponent J of the
+prime: a case's linear equations are solved exactly in integers
+(``_solve_affine``), and the solution is range-restricted by nonnegativity
+and the rank inequalities (``_family_from_solution``).  J >= 4, and J = 3
+without a complementary pair of rank inequalities, raise ValueError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import factorize, is_prime, prime_power_divisors, valuation
 from .critical import predicted_order_from_spectrum
-from .graphs import (
-    Graph,
-    InfeasibleParametersError,
-    SrgParams,
-    laplacian_matrix,
-    srg_spectrum,
-)
+from .graphs import Graph, SrgParams, laplacian_matrix, srg_spectrum
 from .intmatrix import IntMatrix
 
 
@@ -67,12 +66,15 @@ def derive_laplacian_identity(params: SrgParams) -> LaplacianIdentity:
 
     Collecting terms gives shift c = 2k - lam + mu and constant
     w = k(k - 1 - lam) + mu(k + 1), which the SRG counting identity reduces
-    to w = mu*v.  Requires mu >= 1 (connected, diameter-2 case).
+    to w = mu*v.  Requires mu >= 1 (connected, diameter-2 case); mu = 0
+    describes a disjoint union of complete graphs, a real graph that the
+    analysis does not cover, so that is a ValueError, not an infeasibility.
     """
     v, k, lam, mu = params.as_tuple()
     if mu < 1:
-        raise InfeasibleParametersError(
-            "the Laplacian identity derivation needs mu >= 1"
+        raise ValueError(
+            "the SRG analysis needs mu >= 1; mu = 0 is a disjoint union "
+            f"of complete graphs K{k + 1}"
         )
     c = 2 * k - lam + mu
     w = k * (k - 1 - lam) + mu * (k + 1)
@@ -179,44 +181,47 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def _solve_affine(eqs, n_unknowns: int, free: int):
-    """Solve a square-after-parametrization linear system exactly.
+def _solve_affine(eqs, n: int):
+    """Solve a linear system in e_0..e_{n-1} exactly, with t = e_{n-1}.
 
-    eqs is a list of (coefficients, rhs) with len(eqs) == n_unknowns - 1.
-    Treating unknown ``free`` as the parameter t, returns per-unknown
-    (const, coeff) integer pairs, or None if the system is singular or the
-    solution is not integer-affine in t.
+    eqs is a list of (coefficients, rhs).  Fraction-free Gauss-Jordan
+    elimination runs on e_0..e_{n-2}; rows left without a pivot read
+    0 = c0 + c1*t and either fix t (then it is substituted, so every coeff
+    is 0) or must vanish.  Returns per-unknown integer (const, coeff) pairs
+    meaning const + coeff*t, or None when the system is inconsistent, leaves
+    an unknown other than t free, or has a solution that is not integral.
     """
-    others = [i for i in range(n_unknowns) if i != free]
-    if len(eqs) != len(others):
-        raise ValueError("system is not square after fixing the free unknown")
-    # augmented rows: coefficients on the non-free unknowns, then the affine
+    m = n - 1
+    # augmented rows: coefficients of e_0..e_{m-1}, then the affine
     # right-hand side (constant part, t part)
-    rows = []
-    for coeffs, rhs in eqs:
-        row = [Fraction(coeffs[i]) for i in others]
-        row.append(Fraction(rhs))
-        row.append(Fraction(-coeffs[free]))
-        rows.append(row)
-    n = len(others)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col]), -1)
-        if piv < 0:
+    rows = [[*coeffs[:m], rhs, -coeffs[m]] for coeffs, rhs in eqs]
+    for col in range(m):
+        piv = next((r for r in range(col, len(rows)) if rows[r][col]), None)
+        if piv is None:
             return None
         rows[col], rows[piv] = rows[piv], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [x * inv for x in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    solution: list[tuple[int, int] | None] = [None] * n_unknowns
-    solution[free] = (0, 1)
-    for pos, idx in enumerate(others):
-        c0, c1 = rows[pos][n], rows[pos][n + 1]
-        if c0.denominator != 1 or c1.denominator != 1:
+        prow = rows[col]
+        d = prow[col]
+        for r, row in enumerate(rows):
+            f = row[col]
+            if f and r != col:
+                rows[r] = [d * x - f * y for x, y in zip(row, prow)]
+    t = None
+    for row in rows[m:]:
+        c0, c1 = row[m], row[m + 1]
+        if c1 and t is None:
+            t = -c0 // c1  # if c1 does not divide c0, the check below fails
+        if c0 + c1 * (t or 0):
             return None
-        solution[idx] = (int(c0), int(c1))
+    solution = []
+    for col in range(m):
+        d, c0, c1 = rows[col][col], rows[col][m], rows[col][m + 1]
+        if t is not None:
+            c0, c1 = c0 + c1 * t, 0
+        if c0 % d or c1 % d:
+            return None
+        solution.append((c0 // d, c1 // d))
+    solution.append((0, 1) if t is None else (t, 0))
     return solution
 
 
@@ -309,103 +314,67 @@ def _eigenvalue_constraints(spectrum, q: int, bound_exp: int):
 def enumerate_families(params: SrgParams, q: int) -> list[SolutionFamily]:
     """All maximal families of admissible q-multiplicity vectors.
 
-    Unknowns are e_0..e_J with J the q-valuation of w.  Two equations always
-    hold: the multiplicities count every nonzero invariant factor
-    (sum e_i = v - 1 for a connected graph) and carry the full q-valuation
-    of the group order (sum i*e_i = v_q(order)).  For J <= 2 that is already
-    a <=1-parameter system.  For J = 3 the eigenvalue inequalities include a
-    complementary prefix/suffix pair whose total slack is v - m_theta -
-    m_tau = 1; splitting the slack gives the finitely many cases, each a
-    one-parameter family.  Raises ContradictionError when no solutions
-    exist, and ValueError for bound exponents this reduction does not cover.
+    Unknowns are e_0..e_J with J the q-valuation of w, and t = e_J.  Two
+    equations always hold: the multiplicities count every nonzero invariant
+    factor (sum e_i = v - 1 for a connected graph) and carry the full
+    q-valuation of the group order (sum i*e_i = v_q(order)).  For J <= 2
+    that is the one case, fixing every e_i in terms of t.  For J = 3 the
+    eigenvalue inequalities include a complementary prefix/suffix pair
+    whose total slack is v - m_a - m_b; each split s of the slack adds the
+    equation e_0 + ... + e_{j_a} = m_a + s and is case s + 1.  Every case
+    is solved by ``_solve_affine`` and range-restricted by
+    ``_family_from_solution`` (nonnegativity and the rank inequalities).
+    Raises ContradictionError when no case leaves a family, and ValueError,
+    before any solving, for J >= 4 and for J = 3 without such a pair.
     """
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
     ident = derive_laplacian_identity(params)
     bound_exp = valuation(ident.w, q)
     spectrum = srg_spectrum(params)
-    order = predicted_order_from_spectrum(spectrum, params.v)
-    val = order.get(q, 0)
+    val = predicted_order_from_spectrum(spectrum, params.v).get(q, 0)
+    if bound_exp > 3:
+        raise ValueError(
+            f"divisor bound allows exponent {bound_exp} for q={q}; only "
+            "exponents up to 3 reduce to one-parameter families here"
+        )
     z = 1  # kernel dimension: connected since mu >= 1
-    count = params.v - z
-
-    if bound_exp == 0:
-        if val:
-            raise ContradictionError(
-                f"q={q} divides the group order but is excluded by the "
-                f"divisor bound w={ident.w}"
-            )
-        return [
-            SolutionFamily(1, q, (0, 0), (AffineExpr(count, 0),), ())
-        ]
-
+    # empty when J = 0: an integral eigenvalue lam has lam*(c - lam) = w
     cons = _eigenvalue_constraints(spectrum, q, bound_exp)
-    base_eqs = [
-        ([1] * (bound_exp + 1), count),
-        (list(range(bound_exp + 1)), val),
-    ]
-
-    if bound_exp == 1:
-        e1, e0 = val, count - val
-        solution = [(e0, 0), (e1, 0)]
-        fam = _family_from_solution(1, q, solution, cons, z)
-        if fam is None:
-            raise ContradictionError(
-                f"no nonnegative multiplicity vector for q={q} ({params})"
-            )
-        return [fam]
-
-    if bound_exp == 2:
-        solution = _solve_affine(base_eqs, 3, free=2)
-        fam = _family_from_solution(1, q, solution, cons, z)
-        if fam is None:
-            raise ContradictionError(
-                f"no nonnegative multiplicity vector for q={q} ({params})"
-            )
-        return [fam]
-
+    n = bound_exp + 1
+    base = [([1] * n, params.v - z), (list(range(n)), val)]
+    cases = [(1, base)]
     if bound_exp == 3:
-        pair = None
-        for ma, kind_a, ja in cons:
-            if kind_a != "N":
-                continue
-            for mb, kind_b, jb in cons:
-                if kind_b == "M" and jb == ja + 1:
-                    pair = (ma, ja, mb, jb)
-                    break
-            if pair:
-                break
+        pair = next(
+            (
+                (ma, ja, mb)
+                for ma, kind_a, ja in cons
+                if kind_a == "N"
+                for mb, kind_b, jb in cons
+                if kind_b == "M" and jb == ja + 1
+            ),
+            None,
+        )
         if pair is None:
             raise ValueError(
                 "no complementary pair of rank inequalities; cannot reduce "
                 "to one-parameter families"
             )
-        ma, ja, mb, jb = pair
-        slack = params.v - (ma + mb)
-        if slack < 0:
-            raise ContradictionError(
-                f"rank inequalities are jointly unsatisfiable for q={q}"
-            )
-        fams = []
-        for s1 in range(slack + 1):
-            prefix = [1 if i <= ja else 0 for i in range(bound_exp + 1)]
-            eqs = base_eqs + [(prefix, ma + s1)]
-            solution = _solve_affine(eqs, bound_exp + 1, free=bound_exp)
-            if solution is None:
-                continue
-            fam = _family_from_solution(s1 + 1, q, solution, cons, z)
-            if fam is not None:
-                fams.append(fam)
-        if not fams:
-            raise ContradictionError(
-                f"no nonnegative multiplicity vector for q={q} ({params})"
-            )
-        return fams
-
-    raise ValueError(
-        f"divisor bound allows exponent {bound_exp} for q={q}; only "
-        "exponents up to 3 reduce to one-parameter families here"
-    )
+        ma, ja, mb = pair
+        prefix = [int(i <= ja) for i in range(n)]
+        slack = params.v - ma - mb
+        cases = [(s + 1, base + [(prefix, ma + s)]) for s in range(slack + 1)]
+    fams = []
+    for label, eqs in cases:
+        solution = _solve_affine(eqs, n)
+        fam = solution and _family_from_solution(label, q, solution, cons, z)
+        if fam:
+            fams.append(fam)
+    if not fams:
+        raise ContradictionError(
+            f"no nonnegative multiplicity vector for q={q} ({params})"
+        )
+    return fams
 
 
 def forced_multiplicities(params: SrgParams, q: int):
@@ -414,7 +383,8 @@ def forced_multiplicities(params: SrgParams, q: int):
     When the divisor bound allows q only to the first power, every q-part
     elementary divisor is q itself, so the multiplicity equals the
     q-valuation of the group order.  Returns 0 when q does not divide the
-    order at all.
+    order at all.  Otherwise ``enumerate_families`` decides, which raises
+    ContradictionError when q divides the order but not w.
     """
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
@@ -423,12 +393,7 @@ def forced_multiplicities(params: SrgParams, q: int):
     val = order.get(q, 0)
     if val == 0:
         return 0
-    bound_exp = valuation(ident.w, q)
-    if bound_exp == 0:
-        raise ContradictionError(
-            f"q={q} divides the group order but not w={ident.w}"
-        )
-    if bound_exp == 1:
+    if valuation(ident.w, q) == 1:
         return val
     return enumerate_families(params, q)
 

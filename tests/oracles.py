@@ -4,14 +4,15 @@ Everything here recomputes results by a route that shares no elimination
 code with the library: spanning trees by exhaustive subset enumeration,
 Smith forms from determinantal divisors (gcds of k x k minors), bicycle
 dimensions by enumerating the binary cut space, elementary-divisor
-profiles read off an integer Smith form, and primality and factorization
-by plain trial division.  The trial-division pair is the independent
+profiles read off an integer Smith form, admissible SRG multiplicity
+vectors by exhaustive search, and primality and factorization by plain
+trial division.  The trial-division pair is the independent
 reference for the library's Miller-Rabin ``is_prime`` and Pollard-Brent
 rho ``factorize``; it is exact but slow beyond about 2^40.
 """
 
 from itertools import combinations
-from math import gcd
+from math import gcd, isqrt
 
 from critlab import Graph, IntMatrix
 
@@ -175,4 +176,59 @@ def trial_division_factorize(n: int) -> dict[int, int]:
         d += 1 if d == 2 else 2
     if n > 1:
         out[n] = out.get(n, 0) + 1
+    return out
+
+
+def _val(n: int, p: int) -> int:
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def _weighted_compositions(total: int, val: int, top: int):
+    """(e_1, ..., e_top) >= 0 with sum i*e_i = val and sum e_i <= total."""
+    if top == 0:
+        if val == 0:
+            yield ()
+        return
+    for e_top in range(min(val // top, total) + 1):
+        for rest in _weighted_compositions(total - e_top, val - top * e_top, top - 1):
+            yield rest + (e_top,)
+
+
+def admissible_srg_vectors(v: int, k: int, lam: int, mu: int, q: int) -> set:
+    """Every (e_0, ..., e_J) the SRG constraints allow at prime q, by search.
+
+    J = v_q(mu*v).  The adjacency eigenvalues r > s solve
+    x^2 - (lam - mu)x - (k - mu) = 0 with multiplicities f + g = v - 1 and
+    f*r + g*s = -k; the group order is the product of the Laplacian
+    eigenvalues k - r, k - s (to their multiplicities) over v, or
+    (mu*v)^((v - 1)/2) / v for an irrational pair.  A vector counts the v - 1
+    nonzero invariant factors, carries the order's q-valuation, and for each
+    Laplacian eigenvalue of q-valuation j >= 1 and multiplicity m satisfies
+    m <= e_0 + ... + e_j and m <= 1 + e_j + ... + e_J.
+    """
+    top = _val(mu * v, q)
+    disc = (lam - mu) ** 2 + 4 * (k - mu)
+    root = isqrt(disc)
+    if root * root == disc:
+        r, s = (lam - mu + root) // 2, (lam - mu - root) // 2
+        f = (-k - (v - 1) * s) // (r - s)
+        eigs = [(k - r, f), (k - s, v - 1 - f)]
+        val = sum(m * _val(x, q) for x, m in eigs) - _val(v, q)
+    else:
+        eigs = []
+        val = (v - 1) // 2 * top - _val(v, q)
+    out = set()
+    for rest in _weighted_compositions(v - 1, val, top):
+        e = (v - 1 - sum(rest),) + rest
+        if all(
+            m <= sum(e[: j + 1]) and m <= 1 + sum(e[j:])
+            for x, m in eigs
+            for j in (_val(x, q),)
+            if j >= 1
+        ):
+            out.add(e)
     return out

@@ -291,6 +291,12 @@ class TestMooreAnalyze:
         code, _, err = run_cli(capsys, ["moore", "analyze", "--params", "10,3,1,1"])
         assert code == 2
 
+    def test_mu_0_exits_1(self, capsys):
+        # 2K3 is a real graph, so this is a usage error, not an infeasibility
+        code, out, err = run_cli(capsys, ["moore", "analyze", "--params", "6,2,1,0"])
+        assert (code, out) == (1, "")
+        assert "needs mu >= 1" in err
+
     def test_bad_params_exit_1(self, capsys):
         code, _, _ = run_cli(capsys, ["moore", "analyze", "--params", "1,2,3"])
         assert code == 1

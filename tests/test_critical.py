@@ -176,7 +176,7 @@ class TestCriticalGroup:
             for e in exps:
                 expected[e] += 1
             expected[0] = n - 1 - sum(expected[1:])
-            profile = elem_divisor_profile(lap, p, val_bound=valuation(cg.order, p))
+            profile = elem_divisor_profile(lap, p)
             assert profile.multiplicities == tuple(expected)
             assert profile.kernel_rank == 1
 

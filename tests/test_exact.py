@@ -307,12 +307,6 @@ class TestElemDivisorProfile:
         assert prof.total_valuation == 47
         assert prof.kernel_rank == 1
 
-    def test_explicit_valuation_bound(self):
-        lap = laplacian_matrix(hoffman_singleton_graph())
-        assert elem_divisor_profile(lap, 5, val_bound=47) == elem_divisor_profile(
-            lap, 5
-        )
-
     def test_agrees_with_snf_random(self):
         rng = random.Random(31337)
         for _ in range(80):
@@ -391,7 +385,9 @@ class TestCertifiedPrecision:
         precisions = tuple(tried)
         ceiling = _valuation_bound(m, p) + 1
         assert precisions and max(precisions) <= ceiling
-        assert prof == elem_divisor_profile(m, p, val_bound=ceiling - 1)
+        one_pass = sorted(_eliminate_mod(m, p, ceiling))
+        assert one_pass == [i for i, e in enumerate(prof.multiplicities) for _ in range(e)]
+        assert prof.kernel_rank == min(m.rows, m.cols) - len(one_pass)
         assert (prof.multiplicities, prof.kernel_rank) == profile_from_snf(
             snf(m).invariant_factors, p
         )

@@ -1,8 +1,12 @@
+import hashlib
+import json
+
 import pytest
 
 import critlab.moore as moore_mod
 from critlab import (
     ContradictionError,
+    InfeasibleParametersError,
     IntMatrix,
     SrgParams,
     analyze,
@@ -19,7 +23,10 @@ from critlab import (
     kernel_basis,
     laplacian_matrix,
     petersen_graph,
+    srg_spectrum,
 )
+from critlab.arith import factorize
+from oracles import admissible_srg_vectors
 
 MOORE57 = SrgParams(3250, 57, 0, 1)
 HOSI = SrgParams(50, 7, 0, 1)
@@ -56,6 +63,12 @@ class TestLaplacianIdentity:
 
     def test_identity_fails_on_wrong_graph(self):
         assert not derive_laplacian_identity(PETERSEN).holds_on(cycle_graph(10))
+
+    def test_mu_0_is_unsupported_not_infeasible(self):
+        # (6, 2, 1, 0) is 2K3, a real graph: outside the analysis, exit 1
+        with pytest.raises(ValueError, match="needs mu >= 1") as info:
+            derive_laplacian_identity(SrgParams(6, 2, 1, 0))
+        assert not isinstance(info.value, InfeasibleParametersError)
 
     def test_mu_2_srg_has_j_coefficient_2(self):
         # Clebsch parameters: (L - cI)L = -wI + 2J
@@ -215,9 +228,119 @@ class TestEnumerateFamiliesOtherParams:
         assert fam.evaluate(fam.t_range[0]) == (3, 1)
 
     def test_unsupported_bound_exponent(self):
-        # Clebsch parameters put 2^5 in the bound; no one-parameter reduction
-        with pytest.raises(ValueError):
-            enumerate_families(SrgParams(16, 5, 0, 2), 2)
+        # Clebsch parameters put 2^5 in the bound; T(5) = (10, 6, 3, 4) puts
+        # 2^3 there but has no complementary pair; neither reduces to
+        # one-parameter families, and neither is a contradiction
+        for params, message in (
+            (SrgParams(16, 5, 0, 2), "divisor bound allows exponent 5"),
+            (SrgParams(10, 6, 3, 4), "no complementary pair"),
+        ):
+            with pytest.raises(ValueError, match=message) as info:
+                enumerate_families(params, 2)
+            assert not isinstance(info.value, ContradictionError)
+
+
+def feasible_params(vmax):
+    """Every (v, k, lam, mu) with v <= vmax and mu >= 1 that SrgParams and
+    srg_spectrum accept, complete graphs (k = v - 1, any mu) included."""
+    for v in range(2, vmax + 1):
+        for k in range(1, v):
+            for lam in range(k):
+                num, den = k * (k - lam - 1), v - k - 1
+                for mu in range(1, k + 1) if den == 0 else (num // den,):
+                    try:
+                        params = SrgParams(v, k, lam, mu)
+                        srg_spectrum(params)
+                    except ValueError:
+                        continue
+                    if mu >= 1:
+                        yield params
+
+
+def small_cases():
+    """(params, q) for every feasible set with v <= 30 and prime q of mu*v."""
+    for params in feasible_params(30):
+        for q in sorted(factorize(params.mu * params.v)):
+            yield params, q
+
+
+# Pinned from the code before the exponent branches were merged into one
+# solve-and-restrict path: the sha256 of every small case's sorted-key
+# analyze JSON (or "ValueError: <message>"), one line each, and the cases
+# that raise ValueError (J >= 4, or J = 3 without a complementary pair).
+ANALYZE_SHA256 = "103ac2b27c7afd389013d974fb64bd2069927a1b82d7d1fefd020b73373d40e5"
+UNSUPPORTED = """
+8,4,0,4:2 8,6,4,6:2 8,7,6,1:2 8,7,6,2:2 8,7,6,3:2 8,7,6,4:2 8,7,6,5:2
+8,7,6,6:2 8,7,6,7:2 9,8,7,8:2 10,6,3,4:2 10,8,6,8:2 10,9,8,8:2 11,10,9,8:2
+12,8,4,8:2 12,11,10,4:2 12,11,10,8:2 13,12,11,8:2 14,13,12,8:2 15,14,13,8:2
+16,5,0,2:2 16,6,2,2:2 16,8,0,8:2 16,9,4,6:2 16,10,6,6:2 16,12,8,12:2
+16,14,12,14:2 16,15,14,1:2 16,15,14,2:2 16,15,14,3:2 16,15,14,4:2
+16,15,14,5:2 16,15,14,6:2 16,15,14,7:2 16,15,14,8:2 16,15,14,9:2
+16,15,14,10:2 16,15,14,11:2 16,15,14,12:2 16,15,14,13:2 16,15,14,14:2
+16,15,14,15:2 17,16,15,8:2 17,16,15,16:2 18,9,0,9:3 18,16,14,16:2
+18,17,16,8:2 18,17,16,9:3 18,17,16,16:2 19,18,17,8:2 19,18,17,16:2
+20,16,12,16:2 20,19,18,4:2 20,19,18,8:2 20,19,18,12:2 20,19,18,16:2
+21,20,19,8:2 21,20,19,16:2 22,21,20,8:2 22,21,20,16:2 23,22,21,8:2
+23,22,21,16:2 24,12,0,12:2 24,16,8,16:2 24,18,12,18:2 24,20,16,20:2
+24,21,18,21:2 24,22,20,22:2 24,23,22,1:2 24,23,22,2:2 24,23,22,3:2
+24,23,22,4:2 24,23,22,5:2 24,23,22,6:2 24,23,22,7:2 24,23,22,8:2
+24,23,22,9:2 24,23,22,10:2 24,23,22,11:2 24,23,22,12:2 24,23,22,13:2
+24,23,22,14:2 24,23,22,15:2 24,23,22,16:2 24,23,22,17:2 24,23,22,18:2
+24,23,22,19:2 24,23,22,20:2 24,23,22,21:2 24,23,22,22:2 24,23,22,23:2
+25,24,23,8:2 25,24,23,16:2 25,24,23,24:2 26,10,3,4:2 26,24,22,24:2
+26,25,24,8:2 26,25,24,16:2 26,25,24,24:2 27,18,9,18:3 27,24,21,24:2
+27,24,21,24:3 27,26,25,1:3 27,26,25,2:3 27,26,25,3:3 27,26,25,4:3
+27,26,25,5:3 27,26,25,6:3 27,26,25,7:3 27,26,25,8:2 27,26,25,8:3
+27,26,25,9:3 27,26,25,10:3 27,26,25,11:3 27,26,25,12:3 27,26,25,13:3
+27,26,25,14:3 27,26,25,15:3 27,26,25,16:2 27,26,25,16:3 27,26,25,17:3
+27,26,25,18:3 27,26,25,19:3 27,26,25,20:3 27,26,25,21:3 27,26,25,22:3
+27,26,25,23:3 27,26,25,24:2 27,26,25,24:3 27,26,25,25:3 27,26,25,26:3
+28,9,0,4:2 28,12,6,4:2 28,24,20,24:2 28,27,26,4:2 28,27,26,8:2 28,27,26,12:2
+28,27,26,16:2 28,27,26,20:2 28,27,26,24:2 28,27,26,27:3 29,28,27,8:2
+29,28,27,16:2 29,28,27,24:2 29,28,27,27:3 30,24,18,24:2 30,27,24,27:3
+30,29,28,8:2 30,29,28,16:2 30,29,28,24:2 30,29,28,27:3
+""".split()
+
+
+def case_key(params, q):
+    return "{},{},{},{}:{}".format(*params.as_tuple(), q)
+
+
+class TestSmallParameterSweep:
+    def test_analyze_output_is_pinned(self):
+        digest = hashlib.sha256()
+        unsupported = []
+        for params, q in small_cases():
+            try:
+                text = json.dumps(analyze(params, (q,)), sort_keys=True)
+            except ValueError as exc:
+                text = f"ValueError: {exc}"
+                unsupported.append(case_key(params, q))
+            digest.update(text.encode() + b"\n")
+        assert unsupported == UNSUPPORTED
+        assert digest.hexdigest() == ANALYZE_SHA256
+
+    def test_families_partition_the_admissible_vectors(self):
+        # every vector the constraints allow, found by exhaustive search with
+        # eigenvalues computed in the oracle, lies in exactly one family, and
+        # every family point is admissible
+        supported = 0
+        for params, q in small_cases():
+            if case_key(params, q) in UNSUPPORTED:
+                continue
+            supported += 1
+            admissible = admissible_srg_vectors(*params.as_tuple(), q)
+            try:
+                fams = enumerate_families(params, q)
+            except ContradictionError:
+                fams = []
+            points = [
+                fam.evaluate(t)
+                for fam in fams
+                for t in range(fam.t_range[0], fam.t_range[1] + 1)
+            ]
+            assert sorted(points) == sorted(admissible), (params, q)
+        assert supported == 1114
 
 
 class TestFamilyMembership:
@@ -271,6 +394,39 @@ class TestContradictionOutcomes:
         assert (
             moore_mod._family_from_solution(1, 5, [(-1, 0), (1, 0)], [], 1) is None
         )
+
+
+class TestSolveAffine:
+    def test_one_parameter_solution(self):
+        # e0 + e1 + e2 = 10, e1 + 2*e2 = 4
+        eqs = [([1, 1, 1], 10), ([0, 1, 2], 4)]
+        assert moore_mod._solve_affine(eqs, 3) == [(6, 1), (4, -2), (0, 1)]
+
+    def test_determined_system_fixes_t(self):
+        # J = 1: e0 + e1 = 9, e1 = 4
+        assert moore_mod._solve_affine([([1, 1], 9), ([0, 1], 4)], 2) == [
+            (5, 0),
+            (4, 0),
+        ]
+
+    def test_consistent_overdetermined_system(self):
+        # J = 0: e0 = 9 and 0 = 0
+        assert moore_mod._solve_affine([([1], 9), ([0], 0)], 1) == [(9, 0)]
+
+    def test_inconsistent_system(self):
+        assert moore_mod._solve_affine([([1], 9), ([0], 3)], 1) is None
+        eqs = [([1, 1], 9), ([0, 1], 4), ([1, 0], 6)]
+        assert moore_mod._solve_affine(eqs, 2) is None
+
+    def test_free_unknown_other_than_t(self):
+        # e2 = 3 - e3 leaves e0 and e1 tied by one equation only
+        eqs = [([1, 1, 1, 1], 7), ([0, 0, 1, 1], 3), ([1, 1, 0, 0], 4)]
+        assert moore_mod._solve_affine(eqs, 4) is None
+
+    def test_non_integral_solution(self):
+        # 2*e0 = 5 - t is not integral for every t; 2*t = 5 has no integer t
+        assert moore_mod._solve_affine([([2, 1], 5)], 2) is None
+        assert moore_mod._solve_affine([([1, 1], 9), ([0, 2], 5)], 2) is None
 
 
 class TestEigenlatticeMechanism:
