@@ -7,11 +7,12 @@ row and column deleted), whose determinant is the component's spanning-tree
 count.  So the invariant factors come from ``exact.cokernel_invariants`` on
 the reduced Laplacians, built from the adjacency lists.  It eliminates
 modulo a certified multiple of the exponent, found with the determinant,
-and never forms the integer Smith form; ``snf`` of the full Laplacian is
-the independent check.  The number of even invariant factors of a
-connected graph equals the dimension of the binary bicycle space, which is
-n minus the component count (1, or 0 for the empty graph) minus the rank
-of the Laplacian over F_2, taken on rows packed as int bitsets.
+so its entries stay small; integer elimination of the full Laplacian
+(``integer_snf`` in ``tests/oracles.py``) is the independent check.  The
+number of even invariant factors of a connected graph equals the dimension
+of the binary bicycle space, which is n minus the component count (1, or 0
+for the empty graph) minus the rank of the Laplacian over F_2, taken on
+rows packed as int bitsets.
 """
 
 from __future__ import annotations

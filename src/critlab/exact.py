@@ -1,22 +1,27 @@
 """Exact integer matrix kernel: cokernels, Smith normal form, determinants,
 ranks over prime fields, and per-prime elementary-divisor profiles.
 
-``cokernel_invariants`` is the production route to critical groups.  It
-takes the diagonal blocks of a nonsingular matrix, eliminates exactly on
-+-1 pivots, then finishes modulo s, a multiple of the exponent of what
-remains.  s comes with the determinant d from one Bareiss pass
-(``_bareiss``), as the lcm of the orders of two fixed vectors in the
-cokernel, and a product-equals-d check certifies it; d is the fallback.
-Entries stay below s, so the coefficient growth of integer elimination
-never sets in.  ``determinant`` is the same Bareiss pass without
-right-hand sides.
+Smith forms and critical groups share two loops.  ``_bareiss`` is the one
+fraction-free elimination: with full pivoting it gives the rank and a
+nonzero maximal-rank minor, for square input the determinant, and with
+right-hand sides b the solutions det(a) a^-1 b.  ``_diagonal_mod`` is the
+one minimal-|pivot| Smith loop: it diagonalises modulo a multiple s of the
+exponent of what it presents, so entries stay below s and the coefficient
+growth of integer elimination never sets in.  Both run after exact
+elimination on +-1 pivots (``_unit_pivot_residual``).
 
-The other routes are deliberately kept independent oracles that check it
-and each other:
+* ``cokernel_invariants``, the production route to critical groups, takes
+  the diagonal blocks of a nonsingular matrix.  s comes with the
+  determinant d from one Bareiss pass, as the lcm of the orders of two
+  fixed vectors in the cokernel, and a product-equals-d check certifies
+  it; d is the fallback.
+* ``snf``, the engine of ``critlab snf``, takes any matrix and runs the
+  Smith loop modulo the maximal-rank minor, which kills the torsion.
+* ``determinant`` is the Bareiss pass without right-hand sides.
 
-* ``snf`` runs integer elimination with minimal-absolute-value pivoting and
-  produces the full invariant-factor chain of any matrix.  It is the engine
-  of ``critlab snf``.
+The other routes are kept independent on purpose, as oracles that check
+these and each other:
+
 * ``elem_divisor_profile`` never forms the integer Smith form; it eliminates
   modulo p^b with valuation-aware pivoting (``_eliminate_mod``), which keeps
   entries bounded and gives the per-prime structure; b grows until a
@@ -24,6 +29,8 @@ and each other:
   kernel, with a column tracker, gives the filtration levels in
   ``filtration.py``, so the filtration identities are not an independent
   check of the profile.
+* integer elimination with no modulus, the oracle for both Smith-form
+  routes, lives in the test suite (``tests/oracles.py``, ``integer_snf``).
 
 ``rank_mod_p`` is the rank over F_p.  Its row kernel ``_rank_rows_mod_p``
 runs Gaussian elimination on lists for odd p and, for p = 2, packs rows
@@ -67,137 +74,99 @@ class SnfResult:
 
 
 def snf(m: IntMatrix) -> SnfResult:
-    """Smith normal form by elimination with minimal-|pivot| selection.
+    """Smith normal form of any integer matrix, by elimination modulo a minor.
 
-    The pivot at each stage is forced to divide every entry of the remaining
-    submatrix (offending rows are folded into the pivot row), so the
-    divisibility chain holds by construction.  Entries can grow far beyond
-    the invariant factors (seconds on the Hoffman-Singleton Laplacian), so
-    critical groups use ``cokernel_invariants``; this stays as the
-    independent oracle that checks it and as the engine of ``critlab snf``.
+    Exact elimination on +-1 pivots (``_unit_pivot_residual``) drops one
+    unit invariant factor per step.  One fraction-free pass with full
+    pivoting (``_bareiss``) on the R' x C' residual r gives its rank rho and
+    a nonzero rho x rho minor D.  The product of the nonzero invariant
+    factors of r divides every rho x rho minor, so D kills the torsion T of
+    coker(r), and coker([r | D*I]) = (Z/D)^(R' - rho) + T (Domich, Kannan
+    and Trotter, Math. Oper. Res. 12, 1987; Hafner and McCurley, SIAM J.
+    Comput. 20, 1991).  ``_diagonal_mod`` presents that group with entries
+    below D, and its invariant-factor chain, padded in front with 1s to
+    length R', is d_1 | ... | d_rho | D | ... | D: the first rho entries are
+    the nonzero factors of r.  It has to be the chain prefix, not the rho
+    smallest diagonal entries, because T may contain Z/D itself.
     """
-    R, C = m.rows, m.cols
-    A = m.to_rows()
-    size = min(R, C)
-    for t in range(size):
-        # smallest nonzero entry of the working submatrix becomes the pivot
-        pi = pj = -1
-        best = 0
-        for i in range(t, R):
-            rowi = A[i]
-            for j in range(t, C):
-                x = rowi[j]
-                if x and (best == 0 or -best < x < best):
-                    best = abs(x)
-                    pi, pj = i, j
-            if best == 1:
-                break
-        if pi < 0:
-            break  # submatrix is zero; remaining factors are 0
-        A[t], A[pi] = A[pi], A[t]
-        if pj != t:
-            for row in A:
-                row[t], row[pj] = row[pj], row[t]
-
-        while True:
-            rowt = A[t]
-            pivot = rowt[t]
-            swapped = False
-            for i in range(t + 1, R):
-                rowi = A[i]
-                x = rowi[t]
-                if x:
-                    q = x // pivot
-                    if q:
-                        for j in range(C):
-                            rowi[j] -= q * rowt[j]
-                    if rowi[t]:
-                        # remainder is strictly smaller than |pivot|
-                        A[t], A[i] = rowi, rowt
-                        swapped = True
-                        break
-            if swapped:
-                continue
-            for j in range(t + 1, C):
-                x = rowt[j]
-                if x:
-                    q = x // pivot
-                    if q:
-                        for row in A:
-                            row[j] -= q * row[t]
-                    if rowt[j]:
-                        for row in A:
-                            row[t], row[j] = row[j], row[t]
-                        swapped = True
-                        break
-            if swapped:
-                continue
-            # row t and column t are clear; force pivot | rest of submatrix
-            offender = next(
-                (row for row in A[t + 1 :] if any(x % pivot for x in row[t + 1 :])),
-                None,
-            )
-            if offender is None:
-                break
-            for j in range(C):
-                rowt[j] += offender[j]
-
-    return SnfResult(tuple(abs(A[t][t]) for t in range(size)))
+    r = _unit_pivot_residual(m.to_rows())
+    units = m.rows - len(r)
+    rank, minor, _ = _bareiss(r, ())
+    chain = _divisibility_chain(_diagonal_mod(r, abs(minor)))
+    chain = (1,) * (len(r) - len(chain)) + chain
+    zeros = min(m.rows, m.cols) - units - rank
+    return SnfResult((1,) * units + chain[:rank] + (0,) * zeros)
 
 
 def determinant(m: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if not m.is_square:
         raise ValueError("determinant needs a square matrix")
-    return _bareiss(m.to_rows(), ())[0]
+    rank, minor, _ = _bareiss(m.to_rows(), ())
+    return minor if rank == m.rows else 0
 
 
 def _bareiss(
     a: list[list[int]], rhs: Sequence[Sequence[int]]
-) -> tuple[int, list[list[int]]]:
-    """det(a) and, for each b in ``rhs``, y = det(a) a^-1 b; ``a`` is kept.
+) -> tuple[int, int, list[list[int]]]:
+    """Rank rho of a, a nonzero rho x rho minor, and y = det(a) a^-1 b for
+    each b in ``rhs``; ``a`` is kept.
 
-    Fraction-free (Bareiss) elimination of [a | b ...]: every entry it forms
-    is a minor of the input, so each division is exact.  y = adj(a) b is
-    integral, so the back substitution, multiplied through by the last
-    pivot, divides exactly too.  A singular a gives (0, []).
+    Fraction-free (Bareiss) elimination of [a | b ...] with full pivoting: a
+    step whose diagonal entry is 0 swaps in the first nonzero entry of the
+    remaining block of a, searching column by column, so a nonzero in its
+    own column is taken by a row swap alone.  Every entry it forms is a
+    minor of the permuted input, so each division is exact, and the last
+    pivot, signed for the swaps, is the leading rho x rho minor: det(a) for
+    square a of full rank.  Only then are the ys formed, and otherwise ys is
+    [].  A column swap happens only when the current column of the remaining
+    block is 0, which makes a square a singular, and it never moves a
+    right-hand side.  y = adj(a) b is integral, so the back substitution,
+    multiplied through by the last pivot, divides exactly too.
     """
-    n = len(a)
-    width = n + len(rhs)
+    R = len(a)
+    C = len(a[0]) if a else 0
+    width = C + len(rhs)
     w = [row + [b[i] for b in rhs] for i, row in enumerate(a)]
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    rank = 0
+    for k in range(min(R, C)):
         wk = w[k]
         if wk[k] == 0:
-            swap = next((i for i in range(k + 1, n) if w[i][k]), -1)
-            if swap < 0:
-                return 0, []
-            w[k], w[swap] = w[swap], wk
-            wk = w[k]
-            sign = -sign
+            at = next(((i, j) for j in range(k, C) for i in range(k, R) if w[i][j]), None)
+            if at is None:
+                break
+            i, j = at
+            if i != k:
+                w[k], w[i] = w[i], wk
+                wk = w[k]
+                sign = -sign
+            if j != k:
+                for row in w:
+                    row[k], row[j] = row[j], row[k]
+                sign = -sign
         pk = wk[k]
-        for i in range(k + 1, n):
+        for i in range(k + 1, R):
             wi = w[i]
             f = wi[k]
             for j in range(k + 1, width):
                 wi[j] = (wi[j] * pk - f * wk[j]) // prev
             wi[k] = 0
         prev = pk
-    last = w[n - 1][n - 1] if n else 1
-    if last == 0:
-        return 0, []
+        rank = k + 1
     ys = []
-    for c in range(n, width):
-        y = [0] * n
-        for k in range(n - 1, -1, -1):
-            wk = w[k]
-            acc = last * wk[c]
-            for j in range(k + 1, n):
-                acc -= wk[j] * y[j]
-            y[k] = acc // wk[k]
-        ys.append([sign * x for x in y])
-    return sign * last, ys
+    if rank == R == C:
+        for c in range(C, width):
+            y = [0] * R
+            for k in range(R - 1, -1, -1):
+                wk = w[k]
+                acc = prev * wk[c]
+                for j in range(k + 1, R):
+                    acc -= wk[j] * y[j]
+                y[k] = acc // wk[k]
+            ys.append([sign * x for x in y])
+    return rank, sign * prev, ys
 
 
 def cokernel_invariants(blocks: Iterable[IntMatrix]) -> tuple[int, ...]:
@@ -236,10 +205,10 @@ def _torsion_diagonal(a: list[list[int]]) -> list[int]:
     a = _unit_pivot_residual(a)
     rng = random.Random(_RHS_SEED)
     rhs = [[rng.randint(-9, 9) for _ in a] for _ in range(2)]
-    det, ys = _bareiss(a, rhs)
-    d = abs(det)
-    if d == 0:
+    rank, det, ys = _bareiss(a, rhs)
+    if rank < len(a):
         raise ValueError("singular block: its cokernel is infinite")
+    d = abs(det)
     s = 1
     for y in ys:
         s = lcm(s, d // gcd(d, *y))
@@ -250,15 +219,18 @@ def _torsion_diagonal(a: list[list[int]]) -> list[int]:
 
 
 def _diagonal_mod(a: list[list[int]], s: int) -> list[int]:
-    """Diagonal presentation of coker([a | s*I]) = G/sG, for square a; a is kept.
+    """Diagonal presentation of coker([a | s*I]) = G/sG, one entry per row
+    of a; a is kept.
 
-    s*Z^r lies in the column lattice of [a | s*I], so the elimination may
+    s*Z^R lies in the column lattice of [a | s*I], so the elimination may
     reduce every entry modulo s, which bounds the coefficients.  It pivots
     on a minimal-|entry| in the symmetric range mod s; a diagonal entry x
-    then presents the cyclic factor Z/gcd(x, s).  When s is a multiple of
-    the exponent of G = coker(a), G/sG = G.
+    then presents the cyclic factor Z/gcd(x, s), and each row left without
+    a pivot presents Z/s.  When s is a multiple of the exponent of
+    G = coker(a), G/sG = G.
     """
-    n = len(a)
+    R = len(a)
+    C = len(a[0]) if a else 0
     half = s // 2
     a = [row[:] for row in a]
     for row in a:
@@ -266,13 +238,13 @@ def _diagonal_mod(a: list[list[int]], s: int) -> list[int]:
             x %= s
             row[j] = x - s if x > half else x
     diagonal = []
-    for t in range(n):
+    for t in range(min(R, C)):
         # smallest nonzero entry of the working submatrix becomes the pivot
         pi = pj = -1
         best = 0
-        for i in range(t, n):
+        for i in range(t, R):
             rowi = a[i]
-            for j in range(t, n):
+            for j in range(t, C):
                 x = rowi[j]
                 if x and (best == 0 or -best < x < best):
                     best = abs(x)
@@ -280,24 +252,22 @@ def _diagonal_mod(a: list[list[int]], s: int) -> list[int]:
             if best == 1:
                 break
         if pi < 0:
-            # the rest is 0 mod s: each remaining factor is Z/s
-            diagonal.extend([s] * (n - t))
-            break
+            break  # the rest is 0 mod s
         a[t], a[pi] = a[pi], a[t]
         if pj != t:
-            for i in range(t, n):
+            for i in range(t, R):
                 rowi = a[i]
                 rowi[t], rowi[pj] = rowi[pj], rowi[t]
         while True:
             rowt = a[t]
             pivot = rowt[t]
             swapped = False
-            for i in range(t + 1, n):
+            for i in range(t + 1, R):
                 rowi = a[i]
                 x = rowi[t]
                 if x:
                     q = x // pivot
-                    for j in range(t, n):
+                    for j in range(t, C):
                         y = (rowi[j] - q * rowt[j]) % s
                         rowi[j] = y - s if y > half else y
                     if rowi[t]:
@@ -309,25 +279,27 @@ def _diagonal_mod(a: list[list[int]], s: int) -> list[int]:
                 continue
             # Column t is clear below the pivot, so clearing row t by column
             # operations changes no other entry; it only needs pivot | rowt[j].
-            j = next((j for j in range(t + 1, n) if rowt[j] % pivot), -1)
+            j = next((j for j in range(t + 1, C) if rowt[j] % pivot), -1)
             if j < 0:
                 break
             rowt[j] %= pivot
-            for i in range(t, n):
+            for i in range(t, R):
                 rowi = a[i]
                 rowi[t], rowi[j] = rowi[j], rowi[t]
         diagonal.append(gcd(pivot, s))
+    diagonal.extend([s] * (R - len(diagonal)))
     return diagonal
 
 
 def _unit_pivot_residual(a: list[list[int]]) -> list[list[int]]:
     """Schur complement left after exact elimination on +-1 pivots.
 
-    Eliminating on a unit pivot is unimodular, so the residual has the same
-    cokernel as ``a`` and the same determinant up to sign.
+    Eliminating on a unit pivot is unimodular and splits off one invariant
+    factor 1, so the residual has the same cokernel as ``a`` and, for
+    square ``a``, the same determinant up to sign.
     """
     rows = list(range(len(a)))
-    cols = list(range(len(a)))
+    cols = list(range(len(a[0]) if a else 0))
     progress = True
     while progress:
         progress = False

@@ -30,9 +30,9 @@ measuring them.  The kernel over Z is saturated, so its dimension mod p is
 the column count minus the rank.  The expected side comes from
 ``elem_divisor_profile``, which runs the same elimination kernel, so the
 two sides are not independent.  The anchors are the tests against the
-integer Smith form (``snf``) and against ``filtration_M`` /
-``filtration_N``, which build the echelon ``Lattice`` of one level from
-their own elimination modulo p^i; no CLI command uses them.
+integer Smith form (``integer_snf`` in ``tests/oracles.py``) and against
+``filtration_M`` / ``filtration_N``, which build the echelon ``Lattice`` of
+one level from their own elimination modulo p^i; no CLI command uses them.
 """
 
 from __future__ import annotations

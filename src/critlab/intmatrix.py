@@ -169,6 +169,8 @@ def parse_matrix(text: str) -> IntMatrix:
         rows, cols = int(tokens[0]), int(tokens[1])
     except ValueError as exc:
         raise ValueError(f"bad matrix header {tokens[:2]!r}") from exc
+    if rows < 0 or cols < 0:
+        raise ValueError("matrix dimensions must be nonnegative")
     body = tokens[2:]
     if len(body) != rows * cols:
         raise ValueError(

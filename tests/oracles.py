@@ -2,7 +2,8 @@
 
 Everything here recomputes results by a route that shares no elimination
 code with the library: spanning trees by exhaustive subset enumeration,
-Smith forms from determinantal divisors (gcds of k x k minors), bicycle
+Smith forms by integer elimination (``integer_snf``) and from
+determinantal divisors (gcds of k x k minors), bicycle
 dimensions by enumerating the binary cut space, elementary-divisor
 profiles read off an integer Smith form, admissible SRG multiplicity
 vectors by exhaustive search, and primality and factorization by plain
@@ -121,6 +122,78 @@ def snf_from_determinantal_divisors(m: IntMatrix) -> tuple[int, ...]:
         factors.append(g_k // g_prev if g_k else 0)
         g_prev = g_k
     return tuple(factors)
+
+
+def integer_snf(m: IntMatrix) -> tuple[int, ...]:
+    """Invariant factors by integer elimination with minimal-|pivot| selection.
+
+    The independent Smith-form oracle of the suite: it runs over Z with no
+    modulus, where the library eliminates modulo a minor or a multiple of
+    the exponent.  The pivot at each stage is forced to divide every entry
+    of the remaining submatrix (offending rows are folded into the pivot
+    row), so the divisibility chain holds by construction.  Entries can
+    grow far beyond the invariant factors: seconds on the Hoffman-Singleton
+    Laplacian.
+    """
+    R, C = m.rows, m.cols
+    A = m.to_rows()
+    size = min(R, C)
+    for t in range(size):
+        # smallest nonzero entry of the working submatrix becomes the pivot
+        pi = pj = -1
+        best = 0
+        for i in range(t, R):
+            for j in range(t, C):
+                x = A[i][j]
+                if x and (best == 0 or abs(x) < best):
+                    best = abs(x)
+                    pi, pj = i, j
+        if pi < 0:
+            break  # submatrix is zero; remaining factors are 0
+        A[t], A[pi] = A[pi], A[t]
+        for row in A:
+            row[t], row[pj] = row[pj], row[t]
+
+        while True:
+            rowt = A[t]
+            pivot = rowt[t]
+            swapped = False
+            for i in range(t + 1, R):
+                rowi = A[i]
+                if rowi[t]:
+                    q = rowi[t] // pivot
+                    for j in range(C):
+                        rowi[j] -= q * rowt[j]
+                    if rowi[t]:
+                        # remainder is strictly smaller than |pivot|
+                        A[t], A[i] = rowi, rowt
+                        swapped = True
+                        break
+            if swapped:
+                continue
+            for j in range(t + 1, C):
+                if rowt[j]:
+                    q = rowt[j] // pivot
+                    for row in A:
+                        row[j] -= q * row[t]
+                    if rowt[j]:
+                        for row in A:
+                            row[t], row[j] = row[j], row[t]
+                        swapped = True
+                        break
+            if swapped:
+                continue
+            # row t and column t are clear; force pivot | rest of submatrix
+            offender = next(
+                (row for row in A[t + 1 :] if any(x % pivot for x in row[t + 1 :])),
+                None,
+            )
+            if offender is None:
+                break
+            for j in range(C):
+                rowt[j] += offender[j]
+
+    return tuple(abs(A[t][t]) for t in range(size))
 
 
 def profile_from_snf(invariant_factors, p: int) -> tuple[tuple[int, ...], int]:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -9,7 +10,7 @@ import time
 from math import prod
 from pathlib import Path
 
-from critlab import Graph, format_edge_list
+from critlab import Graph, IntMatrix, format_edge_list, format_matrix
 from critlab.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,7 +38,54 @@ def run_cli(capsys, argv, stdin=None, monkeypatch=None):
     return code, captured.out, captured.err
 
 
+SNF_PIN_GRAPHS = (
+    ["petersen", "hosi", "moore2", "moore3", "moore7"]
+    + [f"c{n}" for n in range(3, 13)]
+    + [f"k{n}" for n in range(9)]
+    + [f"p{n}" for n in range(1, 7)]
+)
+
+
+def snf_pin_matrices():
+    """50 seeded matrices: zero shapes, then products a b of inner dimension
+    k (rank at most k, often singular) and full random ones, some wide or
+    tall, some with large entries."""
+    rng = random.Random("snf-pin")
+    out = [IntMatrix.zeros(r, c) for r, c in ((0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (5, 2))]
+    while len(out) < 50:
+        r, c = rng.randint(1, 8), rng.randint(1, 8)
+        scale = rng.choice((1, 1, 2, 6, 10**12))
+        if rng.random() < 0.6:
+            k = rng.randint(0, min(r, c))
+            a = IntMatrix(r, k, [rng.randint(-5, 5) for _ in range(r * k)])
+            b = IntMatrix(k, c, [scale * rng.randint(-5, 5) for _ in range(k * c)])
+            out.append(a @ b)
+        else:
+            out.append(IntMatrix(r, c, [scale * rng.randint(-9, 9) for _ in range(r * c)]))
+    return out
+
+
+# sha256 of the text and JSON output of `critlab snf` on every builtin graph
+# of SNF_PIN_GRAPHS and every matrix of snf_pin_matrices(), in that order,
+# recorded from the integer-elimination implementation
+SNF_SHA256 = "24f4b8d41c0dc015d61ca82fcd9755d22aad78afa1976234411f35991a16ac06"
+
+
 class TestSnfCommand:
+    def test_output_is_pinned(self, capsys, tmp_path):
+        sources = [["--graph", name] for name in SNF_PIN_GRAPHS]
+        for i, m in enumerate(snf_pin_matrices()):
+            path = tmp_path / f"m{i}.txt"
+            path.write_text(format_matrix(m))
+            sources.append(["--matrix", str(path)])
+        digest = hashlib.sha256()
+        for src in sources:
+            for fmt in ("text", "json"):
+                code, out, _ = run_cli(capsys, ["snf", *src, "--format", fmt])
+                assert code == 0, src
+                digest.update(out.encode())
+        assert digest.hexdigest() == SNF_SHA256
+
     def test_stdin_matrix(self, capsys, monkeypatch):
         code, out, _ = run_cli(
             capsys, ["snf", "--matrix", "-"], stdin="2 2\n2 0\n0 3\n", monkeypatch=monkeypatch
@@ -56,6 +104,13 @@ class TestSnfCommand:
         )
         assert code == 1
         assert "error" in err
+        # the header is checked before the body is counted
+        code, out, err = run_cli(
+            capsys, ["snf", "--matrix", "-"], stdin="-1 2\n", monkeypatch=monkeypatch
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "critlab: error: matrix dimensions must be nonnegative\n"
 
 
 class TestCritgroupCommand:

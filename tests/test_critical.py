@@ -1,3 +1,4 @@
+import io
 import random
 import time
 from math import prod
@@ -14,18 +15,19 @@ from critlab import (
     cycle_graph,
     elem_divisor_profile,
     factorize,
+    format_edge_list,
     hoffman_singleton_graph,
     laplacian_matrix,
     path_graph,
     petersen_graph,
     predicted_order_from_spectrum,
     spanning_tree_count,
-    snf,
     srg_spectrum,
     valuation,
 )
 from critlab import exact
-from oracles import brute_force_spanning_trees, f2_bicycle_dimension
+from critlab.cli import main as cli_main
+from oracles import brute_force_spanning_trees, f2_bicycle_dimension, integer_snf
 
 
 def prism_graph():
@@ -69,8 +71,8 @@ def paley_graph(q):
 
 def snf_critical_group(g):
     # invariant factors > 1 and free rank, from the Smith form of the Laplacian
-    result = snf(laplacian_matrix(g))
-    return tuple(d for d in result.invariant_factors if d > 1), result.zero_count
+    factors = integer_snf(laplacian_matrix(g))
+    return tuple(d for d in factors if d > 1), factors.count(0)
 
 
 SMALL_CONNECTED = [
@@ -157,14 +159,23 @@ class TestCriticalGroup:
         assert (cg.invariant_factors, cg.free_rank) == snf_critical_group(g)
 
     @pytest.mark.parametrize("seed,n,chords", [(608, 60, 480), (803, 80, 240)])
-    def test_graphs_where_snf_blows_up(self, seed, n, chords):
-        # The integer Smith form of these Laplacians takes seconds through
+    def test_graphs_where_snf_blows_up(self, seed, n, chords, capsys, monkeypatch):
+        # Integer elimination of these Laplacians takes seconds through
         # coefficient growth, where their determinants take milliseconds; so
-        # the result is checked by routes that use no Smith form.
+        # the result is checked by routes that use no Smith form, and
+        # `critlab snf`, which eliminates modulo a minor, by the same bound.
         g = cycle_plus_chords(seed, n, chords)
         start = time.perf_counter()
         cg = critical_group(g)
         assert time.perf_counter() - start < 5
+        monkeypatch.setattr("sys.stdin", io.StringIO(format_edge_list(g)))
+        start = time.perf_counter()
+        assert cli_main(["snf", "--edges", "-"]) == 0
+        assert time.perf_counter() - start < 5
+        factors = [int(d) for d in capsys.readouterr().out.split()]
+        assert len(factors) == n
+        assert tuple(d for d in factors if d > 1) == cg.invariant_factors
+        assert factors.count(0) == 1
         factors = cg.invariant_factors
         assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
         assert cg.order == spanning_tree_count(g)

@@ -1,4 +1,5 @@
 import random
+from math import prod
 
 import pytest
 
@@ -17,7 +18,12 @@ from critlab import (
 )
 from critlab import exact
 from critlab.exact import _eliminate_mod, _valuation_bound
-from oracles import profile_from_snf, random_int_matrix, snf_from_determinantal_divisors
+from oracles import (
+    integer_snf,
+    profile_from_snf,
+    random_int_matrix,
+    snf_from_determinantal_divisors,
+)
 
 
 class TestSnfExamples:
@@ -76,6 +82,61 @@ class TestSnfProperties:
                 prod *= f
             assert abs(d) == prod
             done += 1
+
+
+def rank_k_product(rng, rows, cols, k):
+    """a diag(ds) b with a rows x k and b k x cols: rank k for most draws,
+    with torsion from the diagonal and from a common scale of b."""
+    scale = rng.choice((1, 1, 2, 6, 10**9))
+    a = IntMatrix(rows, k, [rng.randint(-4, 4) for _ in range(rows * k)])
+    ds = IntMatrix.diagonal([rng.choice((1, 1, 2, 3, 4, 6, 12)) for _ in range(k)])
+    b = IntMatrix(k, cols, [scale * rng.randint(-4, 4) for _ in range(k * cols)])
+    return a @ ds @ b
+
+
+class TestSnfModularRoute:
+    """snf eliminates modulo a nonzero maximal-rank minor D; integer_snf
+    eliminates over Z and is the oracle."""
+
+    def test_products_at_every_rank(self):
+        rng = random.Random(6061)
+        seen = set()
+        count = 0
+        for rows in range(1, 8):
+            for cols in range(1, 8):
+                for k in range(min(rows, cols) + 1):
+                    for _ in range(2):
+                        m = rank_k_product(rng, rows, cols, k)
+                        factors = snf(m).invariant_factors
+                        assert factors == integer_snf(m), m
+                        seen.add((rows, cols, sum(1 for d in factors if d)))
+                        count += 1
+        assert count >= 300
+        # every rank from 0 to min(rows, cols) occurs in every shape
+        assert seen == {
+            (r, c, k) for r in range(1, 8) for c in range(1, 8) for k in range(min(r, c) + 1)
+        }
+
+    def test_torsion_containing_z_mod_d(self):
+        # rank 1 and D = 6: coker([m | 6I]) = Z/6 presented by the diagonal
+        # (2, 3), whose chain is (1, 6); its first entry, 1, is the nonzero
+        # factor, where the smallest diagonal entry would give (2, 0)
+        m = IntMatrix.from_rows([[-6, -4], [3, 2]])
+        assert exact._diagonal_mod(m.to_rows(), 6) == [2, 3]
+        assert snf(m).invariant_factors == (1, 0) == integer_snf(m)
+
+    def test_bareiss_rank_and_minor(self):
+        # the rank and the leading minor under full pivoting, on rectangular
+        # and rank-deficient input: the minor is nonzero and a multiple of
+        # the product of the nonzero invariant factors
+        rng = random.Random(6062)
+        for _ in range(150):
+            rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+            m = rank_k_product(rng, rows, cols, rng.randint(0, min(rows, cols)))
+            rank, minor, _ = exact._bareiss(m.to_rows(), ())
+            nonzero = [d for d in snf_from_determinantal_divisors(m) if d]
+            assert rank == len(nonzero)
+            assert minor != 0 and minor % prod(nonzero) == 0
 
 
 class TestDeterminant:
@@ -142,7 +203,7 @@ class TestCokernelInvariants:
                 )
             if any(determinant(b) == 0 for b in blocks):
                 continue
-            expected = tuple(d for d in snf(block_diagonal(blocks)).invariant_factors if d > 1)
+            expected = tuple(d for d in integer_snf(block_diagonal(blocks)) if d > 1)
             assert cokernel_invariants(blocks) == expected
             done += 1
 
@@ -193,7 +254,7 @@ class TestCertifiedModulus:
             for _ in range(rng.randint(1, 7)):
                 chain.append(chain[-1] * rng.choice((1, 1, 2, 3, 5, 6)))
             m = disguised_diagonal(rng, chain)
-            expected = tuple(d for d in snf(m).invariant_factors if d > 1)
+            expected = tuple(d for d in integer_snf(m) if d > 1)
             assert expected == tuple(d for d in chain if d > 1)
             assert cokernel_invariants([m]) == expected
 
@@ -226,10 +287,13 @@ class TestCertifiedModulus:
                 continue
             a = m.to_rows()
             rhs = [[rng.randint(-9, 9) for _ in a] for _ in range(2)]
-            det, ys = exact._bareiss(a, rhs)
+            rank, minor, ys = exact._bareiss(a, rhs)
             assert a == m.to_rows()
+            det = minor if rank == len(a) else 0
             assert det == determinant(m)
-            if det:
+            if not det:
+                assert ys == []
+            else:
                 for b, y in zip(rhs, ys):
                     # a y = det * b
                     assert [sum(x * z for x, z in zip(row, y)) for row in a] == [
@@ -503,6 +567,10 @@ class TestMatrixTextFormat:
     def test_bad_header(self):
         with pytest.raises(ValueError):
             parse_matrix("2\n1 2\n")
+        # checked before the body is counted, which would expect -2 entries
+        for text in ("-1 2\n", "2 -1\n1 2\n"):
+            with pytest.raises(ValueError, match="matrix dimensions must be nonnegative"):
+                parse_matrix(text)
 
     def test_wrong_entry_count(self):
         with pytest.raises(ValueError):
