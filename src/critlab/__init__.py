@@ -17,7 +17,6 @@ from .critical import (
 from .exact import (
     ElemDivisorProfile,
     SnfResult,
-    cokernel_invariants,
     determinant,
     elem_divisor_profile,
     rank_mod_p,
@@ -100,7 +99,6 @@ __all__ = [
     "analyze",
     "bicycle_dimension",
     "check_srg",
-    "cokernel_invariants",
     "complete_graph",
     "critical_group",
     "cycle_graph",

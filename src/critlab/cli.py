@@ -154,7 +154,7 @@ def _cmd_graph_info(args) -> int:
 def _cmd_critgroup(args) -> int:
     g, name = _load_graph(args)
     cg = critical_group(g)
-    bic = bicycle_dimension(g) if g.is_connected() else None
+    bic = bicycle_dimension(g) if cg.free_rank <= 1 else None
     if bic is not None:
         even = sum(x % 2 == 0 for x in cg.invariant_factors)
         if bic != even:

@@ -4,8 +4,9 @@ The critical group is the torsion part of the cokernel of the Laplacian.
 The Laplacian is block-diagonal over the connected components, and each
 block has cokernel Z plus the cokernel of its reduced Laplacian (one vertex
 row and column deleted), whose determinant is the component's spanning-tree
-count.  So the invariant factors come from ``exact.cokernel_invariants`` on
-the reduced Laplacians, built from the adjacency lists.  It eliminates
+count.  So ``critical_group`` deletes one root row and column per
+component, builds that one nonsingular reduced Laplacian from the adjacency
+lists, and takes its invariant factors from ``exact.snf``, which eliminates
 modulo a certified multiple of the exponent, found with the determinant,
 so its entries stay small; integer elimination of the full Laplacian
 (``integer_snf`` in ``tests/oracles.py``) is the independent check.  The
@@ -17,11 +18,12 @@ rows packed as int bitsets.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import prod
 
 from .arith import UnfactoredError, factorize, valuation
-from .exact import _rank_f2, cokernel_invariants, determinant
+from .exact import _rank_f2, determinant, snf
 from .graphs import Graph, InfeasibleParametersError, SrgSpectrum
 from .intmatrix import IntMatrix
 
@@ -60,13 +62,12 @@ class CriticalGroup:
         return out
 
 
-def _reduced_laplacian(nbrs: list[list[int]], vertices: list[int]) -> IntMatrix:
-    """Laplacian rows and columns of ``vertices``, less the first vertex.
+def _reduced_laplacian(nbrs: list[list[int]], keep: Sequence[int]) -> IntMatrix:
+    """Laplacian rows and columns of the vertices ``keep``.
 
     Built from the adjacency lists ``nbrs``; the diagonal keeps the full
-    degree, so neighbours outside ``vertices`` count there.
+    degree, so neighbours outside ``keep`` count there.
     """
-    keep = vertices[1:]
     pos = {v: i for i, v in enumerate(keep)}
     rows = []
     for u in keep:
@@ -80,10 +81,13 @@ def _reduced_laplacian(nbrs: list[list[int]], vertices: list[int]) -> IntMatrix:
 
 
 def critical_group(g: Graph) -> CriticalGroup:
-    """Critical group from the reduced Laplacians of the components."""
-    nbrs = g.neighbors()
+    """Critical group from the Laplacian less one root row and column per
+    component."""
     components = g.components()
-    factors = cokernel_invariants(_reduced_laplacian(nbrs, c) for c in components)
+    roots = {c[0] for c in components}
+    keep = [v for v in range(g.n) if v not in roots]
+    lap = _reduced_laplacian(g.neighbors(), keep)
+    factors = tuple(d for d in snf(lap).invariant_factors if d > 1)
     return CriticalGroup(factors, prod(factors), len(components))
 
 
@@ -95,7 +99,7 @@ def spanning_tree_count(g: Graph) -> int:
     """
     if g.n == 0:
         raise ValueError("empty graph has no spanning tree count")
-    return determinant(_reduced_laplacian(g.neighbors(), list(range(g.n))))
+    return determinant(_reduced_laplacian(g.neighbors(), range(1, g.n)))
 
 
 def bicycle_dimension(g: Graph) -> int:
@@ -132,6 +136,8 @@ def predicted_order_from_spectrum(spectrum: SrgSpectrum, v: int) -> dict[int, in
     acc: dict[int, int] = {}
 
     def accumulate(n: int, times: int):
+        if not times:
+            return  # not an eigenvalue; its primes must not enter the order
         if n <= 0:
             raise InfeasibleParametersError(
                 "nonpositive Laplacian eigenvalue for a connected graph"

@@ -1,26 +1,21 @@
-"""Exact integer matrix kernel: cokernels, Smith normal form, determinants,
-ranks over prime fields, and per-prime elementary-divisor profiles.
+"""Exact integer matrix kernel: Smith normal form, determinants, ranks over
+prime fields, and per-prime elementary-divisor profiles.
 
-Smith forms and critical groups share two loops.  ``_bareiss`` is the one
+``snf`` is the one Smith-form routine, for ``critlab snf`` and for critical
+groups alike.  After exact elimination on +-1 pivots
+(``_unit_pivot_residual``) it runs two loops.  ``_bareiss`` is the one
 fraction-free elimination: with full pivoting it gives the rank and a
-nonzero maximal-rank minor, for square input the determinant, and with
-right-hand sides b the solutions det(a) a^-1 b.  ``_diagonal_mod`` is the
-one minimal-|pivot| Smith loop: it diagonalises modulo a multiple s of the
-exponent of what it presents, so entries stay below s and the coefficient
-growth of integer elimination never sets in.  Both run after exact
-elimination on +-1 pivots (``_unit_pivot_residual``).
-
-* ``cokernel_invariants``, the production route to critical groups, takes
-  the diagonal blocks of a nonsingular matrix.  s comes with the
-  determinant d from one Bareiss pass, as the lcm of the orders of two
-  fixed vectors in the cokernel, and a product-equals-d check certifies
-  it; d is the fallback.
-* ``snf``, the engine of ``critlab snf``, takes any matrix and runs the
-  Smith loop modulo the maximal-rank minor, which kills the torsion.
-* ``determinant`` is the Bareiss pass without right-hand sides.
+nonzero maximal-rank minor D, and for a square residual of full rank also
+the solutions det(a) a^-1 b for two fixed right-hand sides b, whose orders
+in the cokernel give a multiple s of its exponent.  ``_diagonal_mod`` is the
+one minimal-|pivot| Smith loop: it diagonalises modulo s when a
+product-equals-|D| check certifies s, and modulo |D| otherwise, so entries
+stay below the modulus and the coefficient growth of integer elimination
+never sets in.  ``determinant`` is the Bareiss pass without right-hand
+sides.
 
 The other routes are kept independent on purpose, as oracles that check
-these and each other:
+``snf`` and each other:
 
 * ``elem_divisor_profile`` never forms the integer Smith form; it eliminates
   modulo p^b with valuation-aware pivoting (``_eliminate_mod``), which keeps
@@ -29,8 +24,8 @@ these and each other:
   kernel, with a column tracker, gives the filtration levels in
   ``filtration.py``, so the filtration identities are not an independent
   check of the profile.
-* integer elimination with no modulus, the oracle for both Smith-form
-  routes, lives in the test suite (``tests/oracles.py``, ``integer_snf``).
+* integer elimination with no modulus, the oracle for ``snf``, lives in
+  the test suite (``tests/oracles.py``, ``integer_snf``).
 
 ``rank_mod_p`` is the rank over F_p.  Its row kernel ``_rank_rows_mod_p``
 runs Gaussian elimination on lists for odd p and, for p = 2, packs rows
@@ -74,7 +69,8 @@ class SnfResult:
 
 
 def snf(m: IntMatrix) -> SnfResult:
-    """Smith normal form of any integer matrix, by elimination modulo a minor.
+    """Smith normal form of any integer matrix, by elimination modulo a
+    multiple of the exponent of its torsion.
 
     Exact elimination on +-1 pivots (``_unit_pivot_residual``) drops one
     unit invariant factor per step.  One fraction-free pass with full
@@ -88,11 +84,26 @@ def snf(m: IntMatrix) -> SnfResult:
     length R', is d_1 | ... | d_rho | D | ... | D: the first rho entries are
     the nonzero factors of r.  It has to be the chain prefix, not the rho
     smallest diagonal entries, because T may contain Z/D itself.
+
+    When r is square and nonsingular, coker(r) = T is finite of order
+    |D| = |det r|, and the same pass solves for two fixed right-hand sides
+    b: the class of b in T has order |D| / gcd(D, content(y)) for
+    y = det(r) r^-1 b, and the lcm s of the two orders divides the exponent
+    of T.  The Smith loop then runs modulo s, usually far below |D|, and
+    presents T/sT; the product of its diagonal equals |D| = |T| exactly
+    when sT = 0, which certifies the result (Iliopoulos, SIAM J. Comput. 18,
+    1989).  Otherwise it is rerun modulo |D|.
     """
     r = _unit_pivot_residual(m.to_rows())
     units = m.rows - len(r)
-    rank, minor, _ = _bareiss(r, ())
-    chain = _divisibility_chain(_diagonal_mod(r, abs(minor)))
+    rng = random.Random(_RHS_SEED)
+    rank, minor, ys = _bareiss(r, [[rng.randint(-9, 9) for _ in r] for _ in range(2)])
+    d = abs(minor)
+    s = lcm(*(d // gcd(d, *y) for y in ys)) if ys else d
+    diagonal = _diagonal_mod(r, s)
+    if s != d and prod(diagonal) != d:
+        diagonal = _diagonal_mod(r, d)
+    chain = _divisibility_chain([x for x in diagonal if x > 1])
     chain = (1,) * (len(r) - len(chain)) + chain
     zeros = min(m.rows, m.cols) - units - rank
     return SnfResult((1,) * units + chain[:rank] + (0,) * zeros)
@@ -167,55 +178,6 @@ def _bareiss(
                 y[k] = acc // wk[k]
             ys.append([sign * x for x in y])
     return rank, sign * prev, ys
-
-
-def cokernel_invariants(blocks: Iterable[IntMatrix]) -> tuple[int, ...]:
-    """Nontrivial invariant factors of the cokernel of a block-diagonal matrix.
-
-    ``blocks`` are the diagonal blocks: square integer matrices with nonzero
-    determinant, so the cokernel is finite.  The result lists the invariant
-    factors greater than 1 in divisibility order, as ``snf`` would give them
-    for the whole matrix.  Each block is diagonalised on its own (see
-    ``_torsion_diagonal``); one gcd/lcm sweep merges the diagonals into the
-    divisibility chain.
-    """
-    diagonal: list[int] = []
-    for block in blocks:
-        diagonal.extend(_torsion_diagonal(block.to_rows()))
-    return _divisibility_chain(diagonal)
-
-
-def _torsion_diagonal(a: list[list[int]]) -> list[int]:
-    """Diagonal entries > 1 of a diagonal presentation of coker(a).
-
-    First eliminates exactly over Z on +-1 pivots: those steps are
-    unimodular, drop one unit invariant factor each and, on sparse matrices
-    such as Laplacians, leave entries small.  What remains, of |determinant|
-    d, is finished modulo s, a multiple of the exponent of G = coker(a) that
-    is usually far smaller than d (see ``_diagonal_mod``).
-
-    s comes with d from one Bareiss pass (``_bareiss``) on two fixed
-    right-hand sides b: the class of b in G has order d / gcd(d, content(y))
-    for y = det(a) a^-1 b, and s is the lcm of the two orders, so s divides
-    the exponent.  The pass modulo s presents G/sG, whose order is the
-    product of its diagonal; that product equals d = |G| exactly when
-    sG = 0, which certifies the result.  Otherwise the pass is rerun modulo
-    d, which is always a multiple of the exponent.
-    """
-    a = _unit_pivot_residual(a)
-    rng = random.Random(_RHS_SEED)
-    rhs = [[rng.randint(-9, 9) for _ in a] for _ in range(2)]
-    rank, det, ys = _bareiss(a, rhs)
-    if rank < len(a):
-        raise ValueError("singular block: its cokernel is infinite")
-    d = abs(det)
-    s = 1
-    for y in ys:
-        s = lcm(s, d // gcd(d, *y))
-    diagonal = _diagonal_mod(a, s)
-    if prod(diagonal) != d:
-        diagonal = _diagonal_mod(a, d)
-    return [x for x in diagonal if x > 1]
 
 
 def _diagonal_mod(a: list[list[int]], s: int) -> list[int]:

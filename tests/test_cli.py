@@ -342,6 +342,13 @@ class TestMooreAnalyze:
         assert code == 0
         assert "(L - 15I)L = -50I + 1J" in out
 
+    def test_complete_graph_order_is_cayleys(self, capsys):
+        # K4: the adjacency eigenvalue of multiplicity 0 adds no prime 3
+        code, out, _ = run_cli(capsys, ["moore", "analyze", "--params", "4,3,2,3"])
+        assert code == 0
+        assert "order: 2^4\n" in out
+        assert "forced multiplicities: (none)\n" in out
+
     def test_infeasible_params_exit_2(self, capsys):
         code, _, err = run_cli(capsys, ["moore", "analyze", "--params", "10,3,1,1"])
         assert code == 2

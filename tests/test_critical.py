@@ -1,3 +1,4 @@
+import hashlib
 import io
 import random
 import time
@@ -190,6 +191,36 @@ class TestCriticalGroup:
             profile = elem_divisor_profile(lap, p)
             assert profile.multiplicities == tuple(expected)
             assert profile.kernel_rank == 1
+
+
+CRITGROUP_PIN_GRAPHS = (
+    ["petersen", "hosi", "moore2", "moore3", "moore7"]
+    + [f"c{n}" for n in range(3, 13)]
+    + [f"k{n}" for n in range(9)]
+    + [f"p{n}" for n in range(1, 7)]
+)
+
+# sha256 of the text and JSON output of `critlab critgroup` on every builtin
+# graph of CRITGROUP_PIN_GRAPHS, then every DISCONNECTED graph and
+# random_graph(0) ... random_graph(29) as edge lists on stdin, recorded from
+# the implementation that eliminated each component's reduced Laplacian on
+# its own
+CRITGROUP_SHA256 = "79a26b70ebf7a2ea6122416461b78a0aff79463672c262fec0a8971c84ffab6a"
+
+
+class TestCritgroupCommand:
+    def test_output_is_pinned(self, capsys, monkeypatch):
+        sources = [(["--graph", name], None) for name in CRITGROUP_PIN_GRAPHS]
+        graphs = DISCONNECTED + [random_graph(seed) for seed in range(30)]
+        sources += [(["--edges", "-"], format_edge_list(g)) for g in graphs]
+        digest = hashlib.sha256()
+        for src, stdin in sources:
+            for fmt in ("text", "json"):
+                if stdin is not None:
+                    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+                assert cli_main(["critgroup", *src, "--format", fmt]) == 0, src
+                digest.update(capsys.readouterr().out.encode())
+        assert digest.hexdigest() == CRITGROUP_SHA256
 
 
 class TestCertifiedModulus:

@@ -5,7 +5,6 @@ import pytest
 
 from critlab import (
     IntMatrix,
-    cokernel_invariants,
     determinant,
     elem_divisor_profile,
     format_matrix,
@@ -95,8 +94,9 @@ def rank_k_product(rng, rows, cols, k):
 
 
 class TestSnfModularRoute:
-    """snf eliminates modulo a nonzero maximal-rank minor D; integer_snf
-    eliminates over Z and is the oracle."""
+    """snf eliminates modulo a nonzero maximal-rank minor D, or a certified
+    divisor of it for nonsingular square input; integer_snf eliminates over
+    Z and is the oracle."""
 
     def test_products_at_every_rank(self):
         rng = random.Random(6061)
@@ -175,20 +175,40 @@ def block_diagonal(blocks):
     return IntMatrix.from_rows(rows)
 
 
+def torsion(m):
+    # invariant factors > 1: the finite part of the cokernel
+    return tuple(d for d in snf(m).invariant_factors if d > 1)
+
+
 class TestCokernelInvariants:
     def test_blocks_merge_into_one_chain(self):
-        blocks = [IntMatrix.diagonal([2, 3]), IntMatrix.from_rows([[4]])]
+        m = block_diagonal([IntMatrix.diagonal([2, 3]), IntMatrix.from_rows([[4]])])
         # Z/2 + Z/3 + Z/4 = Z/2 + Z/12
-        assert cokernel_invariants(blocks) == (2, 12)
+        assert snf(m).invariant_factors == (1, 2, 12)
 
     def test_unimodular_and_empty(self):
-        assert cokernel_invariants([]) == ()
-        assert cokernel_invariants([IntMatrix.zeros(0, 0)]) == ()
-        assert cokernel_invariants([IntMatrix.from_rows([[2, 1], [1, 1]])]) == ()
+        assert snf(block_diagonal([])).invariant_factors == ()
+        assert snf(block_diagonal([IntMatrix.zeros(0, 0)])).invariant_factors == ()
+        m = block_diagonal([IntMatrix.from_rows([[2, 1], [1, 1]])])
+        assert snf(m).invariant_factors == (1, 1)
 
-    def test_singular_block_raises(self):
-        with pytest.raises(ValueError):
-            cokernel_invariants([IntMatrix.from_rows([[1, 2], [2, 4]])])
+    def test_singular_and_rectangular_run_once_modulo_the_minor(self, monkeypatch):
+        # no right-hand side is solved there, so there is no smaller modulus
+        # to certify: the Smith loop runs once, modulo |D|
+        moduli = record_moduli(monkeypatch)
+        rng = random.Random(1989)
+        shapes = set()
+        for _ in range(120):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            k = rng.randint(0, min(rows, cols) - (rows == cols))
+            m = rank_k_product(rng, rows, cols, k)
+            r = exact._unit_pivot_residual(m.to_rows())
+            _, minor, _ = exact._bareiss(r, ())
+            moduli.clear()
+            assert snf(m).invariant_factors == integer_snf(m), m
+            assert moduli == [abs(minor)], m
+            shapes.add(rows == cols)
+        assert shapes == {True, False}
 
     def test_random_blocks_against_snf(self):
         rng = random.Random(1987)
@@ -203,8 +223,9 @@ class TestCokernelInvariants:
                 )
             if any(determinant(b) == 0 for b in blocks):
                 continue
-            expected = tuple(d for d in integer_snf(block_diagonal(blocks)) if d > 1)
-            assert cokernel_invariants(blocks) == expected
+            m = block_diagonal(blocks)
+            expected = tuple(d for d in integer_snf(m) if d > 1)
+            assert torsion(m) == expected
             done += 1
 
 
@@ -227,7 +248,7 @@ def disguised_diagonal(rng, diag):
 
 
 def record_moduli(monkeypatch):
-    # every modulus the elimination of _torsion_diagonal runs under
+    # every modulus the Smith loop of snf runs under
     moduli = []
     real = exact._diagonal_mod
 
@@ -243,7 +264,7 @@ class TestCertifiedModulus:
     def test_noncyclic_block(self, monkeypatch):
         moduli = record_moduli(monkeypatch)
         m = disguised_diagonal(random.Random(12), (2, 4, 4, 12))
-        assert cokernel_invariants([m]) == (2, 4, 4, 12)
+        assert torsion(m) == (2, 4, 4, 12)
         # the first modulus is an element order, so it divides the exponent
         assert 12 % moduli[0] == 0
 
@@ -256,7 +277,7 @@ class TestCertifiedModulus:
             m = disguised_diagonal(rng, chain)
             expected = tuple(d for d in integer_snf(m) if d > 1)
             assert expected == tuple(d for d in chain if d > 1)
-            assert cokernel_invariants([m]) == expected
+            assert torsion(m) == expected
 
     def test_fallback_when_the_right_hand_sides_are_in_the_column_lattice(
         self, monkeypatch
@@ -273,7 +294,7 @@ class TestCertifiedModulus:
         for chain in ((2, 4, 4, 12), (1, 3, 9), (5,)):
             moduli.clear()
             m = disguised_diagonal(rng, chain)
-            assert cokernel_invariants([m]) == tuple(d for d in chain if d > 1)
+            assert torsion(m) == tuple(d for d in chain if d > 1)
             d = abs(determinant(m))
             # the certificate fails modulo 1 and the pass modulo d runs
             assert moduli == ([1, d] if d > 1 else [1])

@@ -23,6 +23,7 @@ from critlab import (
     kernel_basis,
     laplacian_matrix,
     petersen_graph,
+    predicted_order_from_spectrum,
     srg_spectrum,
 )
 from critlab.arith import factorize
@@ -264,11 +265,14 @@ def small_cases():
             yield params, q
 
 
-# Pinned from the code before the exponent branches were merged into one
-# solve-and-restrict path: the sha256 of every small case's sorted-key
-# analyze JSON (or "ValueError: <message>"), one line each, and the cases
-# that raise ValueError (J >= 4, or J = 3 without a complementary pair).
-ANALYZE_SHA256 = "103ac2b27c7afd389013d974fb64bd2069927a1b82d7d1fefd020b73373d40e5"
+# The sha256 of every small case's sorted-key analyze JSON (or "ValueError:
+# <message>"), one line each, and the cases that raise ValueError (J >= 4, or
+# J = 3 without a complementary pair).  Pinned from the code before the
+# exponent branches were merged into one solve-and-restrict path, then
+# re-recorded once when eigenvalues of multiplicity 0 stopped adding their
+# primes to the order: that changed exactly the 770 complete-graph cases
+# (k = v - 1), each to the order of Cayley's formula v^(v-2).
+ANALYZE_SHA256 = "43882acf37021656a37cbd045dffc5749d909f45ba578a75cd9854ef3d198045"
 UNSUPPORTED = """
 8,4,0,4:2 8,6,4,6:2 8,7,6,1:2 8,7,6,2:2 8,7,6,3:2 8,7,6,4:2 8,7,6,5:2
 8,7,6,6:2 8,7,6,7:2 9,8,7,8:2 10,6,3,4:2 10,8,6,8:2 10,9,8,8:2 11,10,9,8:2
@@ -341,6 +345,25 @@ class TestSmallParameterSweep:
             ]
             assert sorted(points) == sorted(admissible), (params, q)
         assert supported == 1114
+
+
+class TestCompleteGraphs:
+    def test_order_is_cayleys_formula(self):
+        # K_v has v^(v-2) spanning trees; every (v, v - 1, lam, mu) with
+        # v <= 30 describes it, with one eigenvalue of multiplicity 0
+        cases = 0
+        for params in feasible_params(30):
+            if params.k != params.v - 1:
+                continue
+            cases += 1
+            cayley = factorize(params.v ** (params.v - 2))
+            spectrum = srg_spectrum(params)
+            assert 0 in (spectrum.m_theta, spectrum.m_tau)
+            assert predicted_order_from_spectrum(spectrum, params.v) == cayley, params
+            report = analyze(params)
+            assert report["order_factored"] == {str(p): e for p, e in cayley.items()}
+            assert all(report["forced"].values()), params
+        assert cases == 435
 
 
 class TestFamilyMembership:
