@@ -62,7 +62,7 @@ class CriticalGroup:
         return out
 
 
-def _reduced_laplacian(nbrs: list[list[int]], keep: Sequence[int]) -> IntMatrix:
+def _reduced_laplacian(nbrs: Sequence[Sequence[int]], keep: Sequence[int]) -> IntMatrix:
     """Laplacian rows and columns of the vertices ``keep``.
 
     Built from the adjacency lists ``nbrs``; the diagonal keeps the full
@@ -117,7 +117,7 @@ def bicycle_dimension(g: Graph) -> int:
     rows = (
         sum(1 << v for v in nb) | (len(nb) & 1) << u for u, nb in enumerate(g.neighbors())
     )
-    return g.n - components - _rank_f2(rows)
+    return g.n - components - _rank_f2(rows)[-1]
 
 
 def predicted_order_from_spectrum(spectrum: SrgSpectrum, v: int) -> dict[int, int]:

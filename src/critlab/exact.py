@@ -27,12 +27,16 @@ The other routes are kept independent on purpose, as oracles that check
 * integer elimination with no modulus, the oracle for ``snf``, lives in
   the test suite (``tests/oracles.py``, ``integer_snf``).
 
-``rank_mod_p`` is the rank over F_p.  Its row kernel ``_rank_rows_mod_p``
-runs Gaussian elimination on lists for odd p and, for p = 2, packs rows
-into int bitsets for ``_rank_f2``, an XOR basis; ``_rank_f2`` is also the
-engine of the bicycle dimension, and ``_rank_rows_mod_p`` that of every
-filtration dimension.  It is an oracle only for the e_0 entry of the
-profiles.
+``rank_mod_p`` is the rank over F_p.  Its one kernel,
+``_rank_profile_mod_p``, gives the rank of every prefix of a list of rows,
+each row packed into one int: for p = 2 as a bitset for ``_rank_f2``, an
+XOR basis, and for odd p with one column per wide slot, reduced against a
+basis keyed by leading column.  ``_rank_rows_mod_p`` is its last entry.
+``_rank_f2`` is also the engine of the bicycle dimension, and the prefix
+ranks give every filtration level of one chain at once.  Gaussian
+elimination on lists (``_gauss_rank_mod_p`` in ``tests/oracles.py``) is
+the independent check of the kernel; ``rank_mod_p`` is in turn an oracle
+only for the e_0 entry of the profiles.
 """
 
 from __future__ import annotations
@@ -308,23 +312,68 @@ def rank_mod_p(m: IntMatrix, p: int) -> int:
 
 
 def _rank_rows_mod_p(rows: Iterable[Sequence[int]], p: int) -> int:
-    """The F_p rank kernel: rank of equal-length integer rows, p prime.
+    """Rank over F_p of equal-length integer rows: the last prefix rank."""
+    return _rank_profile_mod_p(rows, p)[-1]
 
-    F_2 packs each row into an int bitset for ``_rank_f2``; odd p runs
-    Gaussian elimination on lists (``_gauss_rank_mod_p``).
+
+def _rank_profile_mod_p(rows: Iterable[Sequence[int]], p: int) -> list[int]:
+    """The F_p rank kernel, p prime: ranks[k] is the rank of the first k
+    equal-length integer rows, so ranks[0] = 0 and ranks[-1] is the rank.
+
+    F_2 packs each row into an int bitset for ``_rank_f2``.  Odd p packs each
+    row into one int too, column j in the w-bit slot j, and keeps a basis
+    keyed by leading (highest nonzero) column, each basis row scaled to a
+    leading 1 and zero above it.  A new row is reduced one leading column at
+    a time: adding (p - t) times the basis row of its leading column, whose
+    slot holds t mod p, makes that slot 0 mod p, and it is then cleared; a
+    slot already 0 mod p is cleared at once.  The row vanishes or reaches a
+    leading column with no basis row, where it joins the basis.  Every slot
+    starts below p and gains at most (p - 1)^2 per reduction, at most one
+    per column, so slots of w bits with 2^w > (C + 1) p^2 never carry.  Once
+    the basis spans every column, later rows add nothing and are not
+    reduced.
     """
     if p == 2:
         return _rank_f2(sum(1 << j for j, x in enumerate(row) if x & 1) for row in rows)
-    return _gauss_rank_mod_p(rows, p)
+    basis: dict[int, int] = {}
+    ranks = [0]
+    for row in rows:
+        C = len(row)
+        if len(basis) < C:
+            w = ((C + 1) * p * p).bit_length()
+            r = 0
+            for x in reversed(row):
+                r = r << w | x % p
+            while r:
+                j = (r.bit_length() - 1) // w
+                s = r >> w * j
+                t = s % p
+                if t:
+                    b = basis.get(j)
+                    if b is None:
+                        inv = pow(t, -1, p)
+                        mask = (1 << w) - 1
+                        b = 1
+                        for k in range(j - 1, -1, -1):
+                            b = b << w | ((r >> w * k) & mask) * inv % p
+                        basis[j] = b
+                        break
+                    r += (p - t) * b
+                    s += p - t
+                r -= s << w * j
+        ranks.append(len(basis))
+    return ranks
 
 
-def _rank_f2(rows: Iterable[int]) -> int:
-    """Rank over F_2 of rows packed as int bitsets (bit j is column j).
+def _rank_f2(rows: Iterable[int]) -> list[int]:
+    """Rank over F_2 of every prefix of rows packed as int bitsets (bit j is
+    column j); ranks[k] is the rank of the first k rows.
 
     An XOR basis keyed by leading bit: each row is reduced by the basis row
     with its leading bit until it vanishes or has a new leading bit.
     """
     basis: dict[int, int] = {}
+    ranks = [0]
     for r in rows:
         while r:
             top = r.bit_length()
@@ -333,32 +382,8 @@ def _rank_f2(rows: Iterable[int]) -> int:
                 basis[top] = r
                 break
             r ^= b
-    return len(basis)
-
-
-def _gauss_rank_mod_p(rows: Iterable[Sequence[int]], p: int) -> int:
-    """Rank over F_p, p prime, by Gaussian elimination on lists of residues."""
-    a = [[x % p for x in row] for row in rows]
-    R = len(a)
-    C = len(a[0]) if a else 0
-    rank = 0
-    for j in range(C):
-        piv = next((i for i in range(rank, R) if a[i][j]), -1)
-        if piv < 0:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        arank = a[rank]
-        inv = pow(arank[j], -1, p)
-        for i in range(rank + 1, R):
-            ai = a[i]
-            f = ai[j] * inv % p
-            if f:
-                for jj in range(j, C):
-                    ai[jj] = (ai[jj] - f * arank[jj]) % p
-        rank += 1
-        if rank == R:
-            break
-    return rank
+        ranks.append(len(basis))
+    return ranks
 
 
 @dataclass(frozen=True)

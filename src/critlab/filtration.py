@@ -22,27 +22,58 @@ every level i <= b:
   p^i.
 
 ``verify_filtration_dims`` runs that elimination once, modulo p^depth
-with depth = max exponent + 1, and measures the dimensions of levels 0
-through depth as the rank mod p of these generators as plain rows, building
-no lattice.  Beyond depth both chains are provably constant, so the report
-repeats the level-depth values up to level total valuation + 1 instead of
-measuring them.  The kernel over Z is saturated, so its dimension mod p is
-the column count minus the rank.  The expected side comes from
-``elem_divisor_profile``, which runs the same elimination kernel, so the
-two sides are not independent.  The anchors are the tests against the
-integer Smith form (``integer_snf`` in ``tests/oracles.py``) and against
-``filtration_M`` / ``filtration_N``, which build the echelon ``Lattice`` of
-one level from their own elimination modulo p^i; no CLI command uses them.
+with depth = max exponent + 1, and checks once per column that the images
+are divisible as these generators need.  Mod p the generators then nest:
+M_i mod p is spanned by the non-pivot columns and the pivot columns with
+v_k >= i, N_i mod p by the images m q_k / p^v_k with v_k <= i (and, at
+depth, by the non-pivot images), and every other generator is 0 mod p.
+So each chain is one ordered list of rows, and one rank profile over F_p
+(``exact._rank_profile_mod_p``) gives the dimension of every level from 0
+through depth as the rank of a prefix, building no lattice.  Beyond depth
+both chains are provably constant, so the report repeats the level-depth
+values up to level total valuation + 1 instead of measuring them.  The
+kernel over Z is saturated, so its dimension mod p is the column count
+minus the rank.  The expected side comes from ``elem_divisor_profile``,
+which runs the same elimination kernel, so the two sides are not
+independent.  The anchors are the tests against the integer Smith form
+(``integer_snf`` in ``tests/oracles.py``), against the ranks of each
+level's generators, and against ``filtration_M`` / ``filtration_N``, which
+build the echelon ``Lattice`` of one level from their own elimination
+modulo p^i; no CLI command uses them.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .exact import _eliminate_mod, _rank_rows_mod_p, elem_divisor_profile
+from .exact import _eliminate_mod, _rank_profile_mod_p, elem_divisor_profile
 from .intmatrix import IntMatrix
 from .lattices import Lattice
+
+
+def _tracked_elimination(
+    m: IntMatrix, p: int, b: int
+) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    """Eliminate m once modulo p^b with a column tracker: the pivot
+    exponents v_k, the columns q_k of the transform and their images m q_k.
+
+    Checks each image once: m q_k is 0 mod p^v_k for a pivot column k and
+    0 mod p^b for the other columns.  That is the divisibility of every
+    level's image generators by p^i, for all i <= b at once.
+    """
+    if b < 0:
+        raise ValueError("filtration level must be nonnegative")
+    C = m.cols
+    q = [[int(r == c) for r in range(C)] for c in range(C)]
+    exps = _eliminate_mod(m, p, b, q)
+    mq = [m.mul_vector(qk) for qk in q]
+    for k, y in enumerate(mq):
+        pv = p ** (exps[k] if k < len(exps) else b)
+        if any(x % pv for x in y):
+            raise AssertionError("image not divisible by p^i; filtration bug")
+    return exps, q, mq
 
 
 def _level_generators(
@@ -54,23 +85,17 @@ def _level_generators(
     of length m.cols) and of N_i (length m.rows), as in the module
     docstring.
     """
-    if b < 0:
-        raise ValueError("filtration level must be nonnegative")
-    C = m.cols
-    q = [[int(r == c) for r in range(C)] for c in range(C)]
-    exps = _eliminate_mod(m, p, b, q)
-    mq = [m.mul_vector(qk) for qk in q]
+    exps, q, mq = _tracked_elimination(m, p, b)
 
     def level(i: int) -> tuple[list, list]:
+        if not 0 <= i <= b:
+            raise ValueError(f"level {i} outside 0..{b}")
         pi = p**i
         dom, img = [], []
         for k, (qk, yk) in enumerate(zip(q, mq)):
             s = p ** max(0, i - exps[k]) if k < len(exps) else 1
-            y = [s * x for x in yk]
-            if any(x % pi for x in y):
-                raise AssertionError("image not divisible by p^i; filtration bug")
             dom.append([s * x for x in qk])
-            img.append([x // pi for x in y])
+            img.append([s * x // pi for x in yk])
         return dom, img
 
     return level
@@ -128,16 +153,31 @@ def verify_filtration_dims(m: IntMatrix, p: int) -> FiltrationReport:
     """Check both dimension identities at every level up to stabilization.
 
     The expected dimensions come from ``elem_divisor_profile``.  The
-    measured ones are the ranks mod p of each level's generators
-    (``_level_generators``); the kernel's is m.cols minus the rank.
+    measured ones are ranks mod p of the level generators; the kernel's is
+    m.cols minus the rank.
 
     Levels 0 through depth = max exponent + 1 (``len(e)``) are measured, on
-    one elimination modulo p^depth.  Past the largest exponent both chains
-    are constant: every pivot generator p^(i - v_k) q_k of M_i is 0 mod p,
-    so M_i mod p is spanned by the other columns of the unimodular q, and
-    N_i is the saturation of the image.  The report then repeats level
-    depth, without measuring it, up to level 1 + v_p(product of invariant
-    factors).
+    one tracked elimination modulo p^depth (``_tracked_elimination``).  Its
+    divisibility check, once per column, is what makes the generators
+    named below 0 mod p.  Mod p both chains nest, so each is one ordered
+    list of rows whose prefixes span the levels, and one rank profile
+    (``_rank_profile_mod_p``) gives every level's dimension as a prefix
+    rank:
+
+    * M_i mod p is spanned by the non-pivot columns q_j and the pivot
+      columns q_k with v_k >= i; every other generator is p times a vector.
+      The rows are the non-pivot columns, then the pivot columns by
+      descending v_k.
+    * N_i mod p is spanned by m q_k / p^v_k for v_k <= i, and at i = depth
+      also by m q_j / p^depth for the non-pivot columns; every other image
+      is 0 mod p.  The rows are the pivot images by ascending v_k, then the
+      non-pivot ones.
+
+    Past the largest exponent both chains are constant: every pivot
+    generator p^(i - v_k) q_k of M_i is 0 mod p, so M_i mod p is spanned by
+    the other columns of the unimodular q, and N_i is the saturation of the
+    image.  The report then repeats level depth, without measuring it, up
+    to level 1 + v_p(product of invariant factors).
     """
     profile = elem_divisor_profile(m, p)
     e = profile.multiplicities
@@ -145,8 +185,21 @@ def verify_filtration_dims(m: IntMatrix, p: int) -> FiltrationReport:
     top = profile.total_valuation + 1
     # the integer kernel is saturated, so its reduction mod p keeps its rank
     kernel_dim = m.cols - profile.rank
-    level = _level_generators(m, p, depth)
-    dims = [[_rank_rows_mod_p(g, p) for g in level(i)] for i in range(depth + 1)]
+    exps, q, mq = _tracked_elimination(m, p, depth)
+    C, r = m.cols, len(exps)
+    order = sorted(range(r), key=exps.__getitem__)
+    ranks_m = _rank_profile_mod_p(q[r:] + [q[k] for k in reversed(order)], p)
+    scale = [p**v for v in exps] + [p**depth] * (C - r)
+    ranks_n = _rank_profile_mod_p(
+        [[x // scale[k] for x in mq[k]] for k in order + list(range(r, C))], p
+    )
+    # prefix lengths: M_i leaves out the pivot columns with v_k < i, N_i
+    # takes the pivot images with v_k <= i, and every row at depth
+    vs = sorted(exps)
+    dims = [
+        (ranks_m[C - bisect_left(vs, i)], ranks_n[bisect_right(vs, i) if i < depth else C])
+        for i in range(depth + 1)
+    ]
     dims_m, dims_n = zip(*(dims + dims[-1:] * (top - depth)))
     levels = range(top + 1)
     expect_m = tuple(kernel_dim + sum(e[i:]) for i in levels)

@@ -23,9 +23,13 @@ class InfeasibleParametersError(ValueError):
 
 
 class Graph:
-    """Simple undirected graph on vertices 0..n-1."""
+    """Simple undirected graph on vertices 0..n-1.
 
-    __slots__ = ("n", "edges")
+    The adjacency lists and the components are built on first use and kept,
+    so every caller of one graph shares them.
+    """
+
+    __slots__ = ("n", "edges", "_neighbors", "_components")
 
     def __init__(self, n: int, edges):
         if n < 0:
@@ -40,6 +44,8 @@ class Graph:
             norm.add((u, v) if u < v else (v, u))
         self.n = n
         self.edges = frozenset(norm)
+        self._neighbors: tuple[tuple[int, ...], ...] | None = None
+        self._components: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def m(self) -> int:
@@ -52,22 +58,24 @@ class Graph:
             deg[v] += 1
         return deg
 
-    def neighbors(self) -> list[list[int]]:
-        """Adjacency lists, each sorted ascending."""
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        for lst in nbrs:
-            lst.sort()
-        return nbrs
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """The neighbours of each vertex, sorted ascending."""
+        if self._neighbors is None:
+            nbrs: list[list[int]] = [[] for _ in range(self.n)]
+            for u, v in self.edges:
+                nbrs[u].append(v)
+                nbrs[v].append(u)
+            self._neighbors = tuple(tuple(sorted(lst)) for lst in nbrs)
+        return self._neighbors
 
     def is_connected(self) -> bool:
         return self.component_count() <= 1
 
-    def components(self) -> list[list[int]]:
+    def components(self) -> tuple[tuple[int, ...], ...]:
         """Vertex sets of the connected components, each sorted ascending,
         ordered by their smallest vertex."""
+        if self._components is not None:
+            return self._components
         nbrs = self.neighbors()
         seen = [False] * self.n
         comps = []
@@ -84,8 +92,9 @@ class Graph:
                         seen[w] = True
                         comp.append(w)
                         stack.append(w)
-            comps.append(sorted(comp))
-        return comps
+            comps.append(tuple(sorted(comp)))
+        self._components = tuple(comps)
+        return self._components
 
     def component_count(self) -> int:
         return len(self.components())

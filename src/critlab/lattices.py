@@ -8,8 +8,8 @@ back-substitution and keeps entries from blowing up while vectors are added.
 No CLI command uses this module.  It backs ``filtration_M`` / ``filtration_N``,
 the membership API and the reference route that the tests hold
 ``verify_filtration_dims`` against.  That route shares
-``filtration._level_generators`` with the function it checks, so it is not an
-independent oracle; the integer Smith form (``integer_snf`` in
+``filtration._tracked_elimination`` with the function it checks, so it is not
+an independent oracle; the integer Smith form (``integer_snf`` in
 ``tests/oracles.py``) is.
 """
 

@@ -6,7 +6,8 @@ Smith forms by integer elimination (``integer_snf``) and from
 determinantal divisors (gcds of k x k minors), bicycle
 dimensions by enumerating the binary cut space, elementary-divisor
 profiles read off an integer Smith form, admissible SRG multiplicity
-vectors by exhaustive search, and primality and factorization by plain
+vectors by exhaustive search, ranks over F_p by Gaussian elimination on
+lists (``_gauss_rank_mod_p``), and primality and factorization by plain
 trial division.  The trial-division pair is the independent
 reference for the library's Miller-Rabin ``is_prime`` and Pollard-Brent
 rho ``factorize``; it is exact but slow beyond about 2^40.
@@ -215,6 +216,36 @@ def profile_from_snf(invariant_factors, p: int) -> tuple[tuple[int, ...], int]:
     for v in exps:
         mult[v] += 1
     return tuple(mult), zeros
+
+
+def _gauss_rank_mod_p(rows, p: int) -> int:
+    """Rank over F_p, p prime, by Gaussian elimination on lists of residues.
+
+    The list-based reference for the library's prefix-rank kernel
+    ``_rank_profile_mod_p``: column by column, it swaps a pivot row up and
+    clears the column below it.
+    """
+    a = [[x % p for x in row] for row in rows]
+    R = len(a)
+    C = len(a[0]) if a else 0
+    rank = 0
+    for j in range(C):
+        piv = next((i for i in range(rank, R) if a[i][j]), -1)
+        if piv < 0:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        arank = a[rank]
+        inv = pow(arank[j], -1, p)
+        for i in range(rank + 1, R):
+            ai = a[i]
+            f = ai[j] * inv % p
+            if f:
+                for jj in range(j, C):
+                    ai[jj] = (ai[jj] - f * arank[jj]) % p
+        rank += 1
+        if rank == R:
+            break
+    return rank
 
 
 def random_int_matrix(rng, max_dim=8, lo=-20, hi=20) -> IntMatrix:

@@ -18,6 +18,7 @@ from critlab import (
 from critlab import exact
 from critlab.exact import _eliminate_mod, _valuation_bound
 from oracles import (
+    _gauss_rank_mod_p,
     integer_snf,
     profile_from_snf,
     random_int_matrix,
@@ -348,22 +349,55 @@ class TestRankModP:
 
 
 class TestRankF2:
-    def test_bitsets_against_the_list_routine(self):
-        rng = random.Random(2222)
+    """The prefix-rank kernel against the list-based Gaussian elimination."""
+
+    @staticmethod
+    def _shapes(rng):
         shapes = [(0, 0), (0, 5), (5, 0), (1, 1)]
         shapes += [(rng.randint(1, 6), rng.randint(7, 40)) for _ in range(65)]  # wide
         shapes += [(rng.randint(7, 40), rng.randint(1, 6)) for _ in range(65)]  # tall
         shapes += [(k, k) for k in (rng.randint(1, 30) for _ in range(66))]
-        for rows, cols in shapes:
+        return shapes
+
+    def test_bitsets_against_the_list_routine(self):
+        rng = random.Random(2222)
+        for rows, cols in self._shapes(rng):
             m = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
             for i in range(rows):
                 if rng.random() < 0.2:
                     m[i] = [2 * x for x in m[i]]  # a zero row mod 2
-            assert exact._rank_rows_mod_p(m, 2) == exact._gauss_rank_mod_p(m, 2)
+            assert exact._rank_rows_mod_p(m, 2) == _gauss_rank_mod_p(m, 2)
 
     def test_dependent_rows(self):
         m = [[1, 1, 0], [0, 1, 1], [1, 0, 1], [3, 2, 1]]
-        assert exact._rank_rows_mod_p(m, 2) == exact._gauss_rank_mod_p(m, 2) == 2
+        assert exact._rank_rows_mod_p(m, 2) == _gauss_rank_mod_p(m, 2) == 2
+
+    def test_every_prefix_against_the_list_routine(self):
+        rng = random.Random(3333)
+        shapes = self._shapes(rng)
+        for k, (rows, cols) in enumerate(shapes):
+            p = (2, 3, 5, 7)[k % 4]
+            m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+            for i in range(rows):
+                r = rng.random()
+                if r < 0.15:
+                    m[i] = [p * x for x in m[i]]  # a zero row mod p
+                elif r < 0.3 and i >= 2:
+                    # a combination of earlier rows, plus a multiple of p
+                    a, b = rng.sample(range(i), 2)
+                    f = rng.randint(1, p - 1)
+                    m[i] = [x + f * y + p * z for x, y, z in zip(m[a], m[b], m[i])]
+            ranks = exact._rank_profile_mod_p(m, p)
+            assert ranks == [_gauss_rank_mod_p(m[:n], p) for n in range(rows + 1)]
+
+    def test_large_prime_and_full_rank_early(self):
+        # slots for p near 2^31 are wide; rows past a full basis add nothing
+        p = 2147483647
+        rng = random.Random(4444)
+        m = [[rng.randint(-(p**2), p**2) for _ in range(6)] for _ in range(12)]
+        ranks = exact._rank_profile_mod_p(m, p)
+        assert ranks == [_gauss_rank_mod_p(m[:n], p) for n in range(13)]
+        assert ranks[-1] == 6
 
 
 class TestElemDivisorProfile:

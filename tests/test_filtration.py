@@ -16,7 +16,7 @@ from critlab import (
     verify_filtration_dims,
 )
 from critlab import filtration
-from critlab.exact import _rank_rows_mod_p
+from critlab.exact import _eliminate_mod, _rank_profile_mod_p, _rank_rows_mod_p
 from critlab.filtration import _level_generators
 from oracles import integer_snf, profile_from_snf, random_int_matrix
 
@@ -202,6 +202,75 @@ class TestNoLatticeOnTheCheckPath:
         assert (rep.dims_M, rep.dims_N, rep.kernel_dim) == ((5, 4, 3), (1, 2, 2), 3)
 
 
+def _profile_route_matrices():
+    """Seeded square, wide, tall and rank-deficient matrices with deep
+    divisors, then zero and empty ones: 330 in all."""
+    rng = random.Random(1414)
+    shapes = [(5, 5), (7, 7), (4, 7), (3, 8), (7, 4), (8, 3), (1, 5), (6, 1), (9, 9)]
+    out = []
+    for k in range(320):
+        r, c = shapes[k % len(shapes)]
+        rows = [[rng.randint(-15, 15) for _ in range(c)] for _ in range(r)]
+        if k % 3 == 0 and r > 2:
+            rows[-1] = [3 * x - 2 * y for x, y in zip(rows[0], rows[1])]
+        if k % 4 == 1:
+            # a column divisible by 2^3 * 3^2 * 5^2
+            j = rng.randrange(c)
+            for row in rows:
+                row[j] *= 1800
+        out.append(IntMatrix.from_rows(rows))
+    zeros = [(1, 1), (2, 3), (3, 2), (4, 4)]
+    empty = [(0, 0), (0, 3), (3, 0), (0, 1), (1, 0), (0, 5)]
+    return out + [IntMatrix.zeros(r, c) for r, c in zeros + empty]
+
+
+class TestRankProfileRoute:
+    """Every measured level against the rank of that level's own
+    generators, one rank per chain and level."""
+
+    @staticmethod
+    def _assert_levels_match(m, p):
+        rep = verify_filtration_dims(m, p)
+        depth = len(elem_divisor_profile(m, p).multiplicities)
+        level = _level_generators(m, p, depth)
+        for i in range(depth + 1):
+            dom, img = level(i)
+            assert rep.dims_M[i] == _rank_rows_mod_p(dom, p)
+            assert rep.dims_N[i] == _rank_rows_mod_p(img, p)
+        assert rep.passed
+        return depth
+
+    def test_seeded_matrices(self):
+        matrices = _profile_route_matrices()
+        assert len(matrices) >= 300
+        deep = 0
+        for m in matrices:
+            for p in (2, 3, 5):
+                deep += self._assert_levels_match(m, p) >= 3
+        assert deep >= 50
+
+    def test_graph_laplacians(self):
+        hosi = laplacian_matrix(hoffman_singleton_graph())
+        petersen = laplacian_matrix(petersen_graph())
+        assert self._assert_levels_match(hosi, 5) == 3
+        for p in (2, 5):
+            self._assert_levels_match(petersen, p)
+
+    def test_corrupt_tracked_column_is_caught(self, monkeypatch):
+        lap = laplacian_matrix(hoffman_singleton_graph())
+        # column 0 of the Laplacian is not 0 mod 5, so adding e_0 to the
+        # non-pivot column breaks m q_j = 0 mod p^depth
+        def corrupting(m, p, b, track=None):
+            exps = _eliminate_mod(m, p, b, track)
+            if track is not None:
+                track[len(exps)][0] += 1
+            return exps
+
+        monkeypatch.setattr(filtration, "_eliminate_mod", corrupting)
+        with pytest.raises(AssertionError, match="not divisible"):
+            verify_filtration_dims(lap, 5)
+
+
 class TestHoffmanSingleton:
     def test_p5_all_levels(self):
         lap = laplacian_matrix(hoffman_singleton_graph())
@@ -227,13 +296,13 @@ class TestFiltrationDepth:
         calls = []
 
         def counting(rows, p):
-            calls.append(p)
-            return _rank_rows_mod_p(rows, p)
+            calls.append(len(rows))
+            return _rank_profile_mod_p(rows, p)
 
-        monkeypatch.setattr(filtration, "_rank_rows_mod_p", counting)
+        monkeypatch.setattr(filtration, "_rank_profile_mod_p", counting)
         rep = verify_filtration_dims(laplacian_matrix(hoffman_singleton_graph()), 5)
-        # two ranks for each of the levels 0..3, not for all 49
-        assert len(calls) == 8
+        # one rank profile per chain, of one row per column, for levels 0..3
+        assert calls == [50, 50]
         assert rep.passed
         assert rep.dims_M == (50, 29, 20) + (1,) * 46
         assert rep.dims_N == (21, 30) + (49,) * 47

@@ -41,6 +41,31 @@ class TestGraphType:
         assert not two.is_connected()
         assert two.component_count() == 2
 
+    def test_critgroup_builds_adjacency_and_components_once(self, monkeypatch, capsys):
+        from critlab import cli
+
+        builds = {"_neighbors": 0, "_components": 0}
+
+        def counted(method, slot):
+            def wrapper(self):
+                builds[slot] += getattr(self, slot) is None
+                return method(self)
+
+            return wrapper
+
+        monkeypatch.setattr(Graph, "neighbors", counted(Graph.neighbors, "_neighbors"))
+        monkeypatch.setattr(Graph, "components", counted(Graph.components, "_components"))
+        assert cli.main(["critgroup", "--graph", "hosi"]) == 0
+        assert "bicycle dimension" in capsys.readouterr().out
+        assert builds == {"_neighbors": 1, "_components": 1}
+
+    def test_adjacency_is_shared_and_read_only(self):
+        g = Graph(4, [(2, 0), (0, 1), (3, 2)])
+        assert g.neighbors() is g.neighbors()
+        assert g.neighbors() == ((1, 2), (0,), (0, 3), (2,))
+        assert g.components() is g.components()
+        assert g.components() == ((0, 1, 2, 3),)
+
 
 class TestMooreGraphs:
     def test_valency_2_is_the_5_cycle(self):
