@@ -2,10 +2,16 @@
 
 Subcommands: ``graph info``, ``critgroup``, ``snf``, ``profile``,
 ``filtration``, ``sandpile``, ``moore analyze``.  Graphs come from a builtin
-name (--graph) or an edge-list file (--edges); matrix commands read the
+name (--graph) or an edge-list file (--edges); matrix commands also take the
 plain-text matrix format (--matrix), with "-" meaning stdin.  Output is
 deterministic text or JSON ("schema": 1, sorted keys), so identical
 invocations produce byte-identical reports.
+
+The parser checks what argparse can express: exactly one source per
+command, a proven prime for each --prime (required by profile and
+filtration), four integers for --params.  The commands check the rest:
+filtration takes exactly one prime, graph names, files and matrices must
+parse, and ``SrgParams`` decides whether a parameter set is feasible.
 
 Exit codes: 0 success, 1 usage or input errors, 2 infeasible-parameter or
 contradiction outcomes.
@@ -72,41 +78,40 @@ def _read_text(path: str) -> str:
 
 
 def _load_graph(args) -> tuple[Graph, str]:
-    if getattr(args, "graph", None) and getattr(args, "edges", None):
-        raise ValueError("give exactly one of --graph and --edges")
-    if getattr(args, "graph", None):
+    if args.graph is not None:
         return _builtin_graph(args.graph), args.graph
-    if getattr(args, "edges", None):
-        return parse_edge_list(_read_text(args.edges)), args.edges
-    raise ValueError("a graph source is required (--graph or --edges)")
+    return parse_edge_list(_read_text(args.edges)), args.edges
 
 
 def _load_matrix_or_graph(args) -> tuple[IntMatrix, str]:
-    sources = [
-        s
-        for s in (
-            getattr(args, "matrix", None),
-            getattr(args, "graph", None),
-            getattr(args, "edges", None),
-        )
-        if s
-    ]
-    if len(sources) != 1:
-        raise ValueError(
-            "give exactly one input source (--matrix, --graph or --edges)"
-        )
-    if getattr(args, "matrix", None):
+    if args.matrix is not None:
         return parse_matrix(_read_text(args.matrix)), args.matrix
     g, name = _load_graph(args)
     return laplacian_matrix(g), f"laplacian({name})"
 
 
-def _parse_primes(args) -> list[int]:
-    primes = args.prime or []
-    for p in primes:
-        if not is_prime(p):
-            raise ValueError(f"--prime {p}: not a prime")
-    return primes
+def _prime(text: str) -> int:
+    """argparse type of ``--prime``: an int that ``is_prime`` proves prime."""
+    try:
+        p = int(text)
+        proven = is_prime(p)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    if not proven:
+        raise argparse.ArgumentTypeError(f"{p} is not a prime")
+    return p
+
+
+def _params(text: str) -> tuple[int, int, int, int]:
+    """argparse type of ``--params``: v,k,lambda,mu as four ints.
+
+    Feasibility is left to ``SrgParams``, so an infeasible set exits 2, not 1.
+    """
+    try:
+        v, k, lam, mu = map(int, text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError("expected four integers v,k,lambda,mu") from exc
+    return v, k, lam, mu
 
 
 def _emit(args, report: dict, text: str) -> None:
@@ -201,10 +206,7 @@ def _cmd_snf(args) -> int:
 
 def _cmd_profile(args) -> int:
     m, name = _load_matrix_or_graph(args)
-    primes = _parse_primes(args)
-    if not primes:
-        raise ValueError("profile needs at least one --prime")
-    profiles = [elem_divisor_profile(m, p) for p in primes]
+    profiles = [elem_divisor_profile(m, p) for p in args.prime]
     report = {
         "schema": 1,
         "source": name,
@@ -231,10 +233,9 @@ def _cmd_profile(args) -> int:
 
 def _cmd_filtration(args) -> int:
     m, name = _load_matrix_or_graph(args)
-    primes = _parse_primes(args)
-    if len(primes) != 1:
+    if len(args.prime) != 1:
         raise ValueError("filtration needs exactly one --prime")
-    rep = verify_filtration_dims(m, primes[0])
+    rep = verify_filtration_dims(m, args.prime[0])
     report = {"schema": 1, "source": name, **rep.to_json_dict()}
     text = (
         f"p={rep.p} pass={rep.passed}\n"
@@ -271,16 +272,8 @@ def _cmd_sandpile(args) -> int:
 
 
 def _cmd_moore_analyze(args) -> int:
-    parts = args.params.split(",")
-    if len(parts) != 4:
-        raise ValueError("--params must be v,k,lambda,mu")
-    try:
-        v, k, lam, mu = (int(x) for x in parts)
-    except ValueError as exc:
-        raise ValueError("--params must be four integers") from exc
-    params = SrgParams(v, k, lam, mu)
-    primes = _parse_primes(args)
-    report = analyze(params, primes)
+    v, k, lam, mu = args.params
+    report = analyze(SrgParams(v, k, lam, mu), args.prime or ())
     lines = [
         f"params: v={v} k={k} lambda={lam} mu={mu}",
         f"identity: (L - {report['identity']['c']}I)L = "
@@ -314,15 +307,15 @@ def _cmd_moore_analyze(args) -> int:
 # -- parser wiring ---------------------------------------------------------------
 
 
-def _add_common(sub, graph=False, matrix=False, primes=False):
-    if graph or matrix:
-        sub.add_argument("--graph", help="builtin graph name (e.g. petersen, hosi, c5, k4)")
-        sub.add_argument("--edges", help="edge-list file path, '-' for stdin")
+def _add_common(sub, matrix=False, primes=False):
+    source = sub.add_mutually_exclusive_group(required=True)
+    source.add_argument("--graph", help="builtin graph name (e.g. petersen, hosi, c5, k4)")
+    source.add_argument("--edges", help="edge-list file path, '-' for stdin")
     if matrix:
-        sub.add_argument("--matrix", help="matrix file path, '-' for stdin")
+        source.add_argument("--matrix", help="matrix file path, '-' for stdin")
     if primes:
         sub.add_argument(
-            "--prime", type=int, action="append", help="prime (repeatable)"
+            "--prime", type=_prime, action="append", required=True, help="prime (repeatable)"
         )
     sub.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -340,35 +333,35 @@ def build_parser() -> _Parser:
     graph = subs.add_parser("graph", help="graph utilities")
     gsubs = graph.add_subparsers(dest="graph_command", required=True)
     info = gsubs.add_parser("info", help="basic graph facts")
-    _add_common(info, graph=True)
+    _add_common(info)
     info.set_defaults(func=_cmd_graph_info)
 
     crit = subs.add_parser("critgroup", help="critical group of a graph")
-    _add_common(crit, graph=True)
+    _add_common(crit)
     crit.set_defaults(func=_cmd_critgroup)
 
     snf_cmd = subs.add_parser("snf", help="Smith normal form invariant factors")
-    _add_common(snf_cmd, graph=True, matrix=True)
+    _add_common(snf_cmd, matrix=True)
     snf_cmd.set_defaults(func=_cmd_snf)
 
     prof = subs.add_parser("profile", help="per-prime elementary-divisor profile")
-    _add_common(prof, graph=True, matrix=True, primes=True)
+    _add_common(prof, matrix=True, primes=True)
     prof.set_defaults(func=_cmd_profile)
 
     filt = subs.add_parser("filtration", help="verify the filtration dimension identities")
-    _add_common(filt, graph=True, matrix=True, primes=True)
+    _add_common(filt, matrix=True, primes=True)
     filt.set_defaults(func=_cmd_filtration)
 
     sand = subs.add_parser("sandpile", help="chip-firing oracle report")
-    _add_common(sand, graph=True)
+    _add_common(sand)
     sand.add_argument("--sink", type=int, default=0)
     sand.set_defaults(func=_cmd_sandpile)
 
     moore = subs.add_parser("moore", help="Moore/SRG constraint analysis")
     msubs = moore.add_subparsers(dest="moore_command", required=True)
     an = msubs.add_parser("analyze", help="critical-group constraints for SRG parameters")
-    an.add_argument("--params", required=True, help="v,k,lambda,mu")
-    an.add_argument("--prime", type=int, action="append", help="enumerate families for this prime")
+    an.add_argument("--params", type=_params, required=True, help="v,k,lambda,mu")
+    an.add_argument("--prime", type=_prime, action="append", help="enumerate families for this prime")
     an.add_argument("--format", choices=("text", "json"), default="text")
     an.set_defaults(func=_cmd_moore_analyze)
 

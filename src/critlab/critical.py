@@ -4,16 +4,18 @@ The critical group is the torsion part of the cokernel of the Laplacian.
 The Laplacian is block-diagonal over the connected components, and each
 block has cokernel Z plus the cokernel of its reduced Laplacian (one vertex
 row and column deleted), whose determinant is the component's spanning-tree
-count.  So ``critical_group`` deletes one root row and column per
-component, builds that one nonsingular reduced Laplacian from the adjacency
-lists, and takes its invariant factors from ``exact.snf``, which eliminates
-modulo a certified multiple of the exponent, found with the determinant,
-so its entries stay small; integer elimination of the full Laplacian
-(``integer_snf`` in ``tests/oracles.py``) is the independent check.  The
-number of even invariant factors of a connected graph equals the dimension
-of the binary bicycle space, which is n minus the component count (1, or 0
-for the empty graph) minus the rank of the Laplacian over F_2, taken on
-rows packed as int bitsets.
+count.  So ``critical_group`` builds, from the adjacency lists, one
+nonsingular reduced Laplacian per component and takes its invariant factors
+from ``exact.snf``, which eliminates modulo a certified multiple of the
+exponent, found with the determinant, so its entries stay small; the
+factors of several components are merged into one divisibility chain.
+Eliminating each block on its own keeps one block's pivots out of the rows
+of the others.  Integer elimination of the full Laplacian (``integer_snf``
+in ``tests/oracles.py``) is the independent check.  The number of even
+invariant factors of a connected graph equals the dimension of the binary
+bicycle space, which is n minus the component count (1, or 0 for the empty
+graph) minus the rank of the Laplacian over F_2, taken on rows packed as
+int bitsets.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .arith import UnfactoredError, factorize, valuation
-from .exact import _rank_f2, determinant, snf
+from .exact import _divisibility_chain, _rank_f2, determinant, snf
 from .graphs import Graph, InfeasibleParametersError, SrgSpectrum
 from .intmatrix import IntMatrix
 
@@ -81,13 +83,15 @@ def _reduced_laplacian(nbrs: Sequence[Sequence[int]], keep: Sequence[int]) -> In
 
 
 def critical_group(g: Graph) -> CriticalGroup:
-    """Critical group from the Laplacian less one root row and column per
-    component."""
-    components = g.components()
-    roots = {c[0] for c in components}
-    keep = [v for v in range(g.n) if v not in roots]
-    lap = _reduced_laplacian(g.neighbors(), keep)
-    factors = tuple(d for d in snf(lap).invariant_factors if d > 1)
+    """Critical group from one reduced Laplacian per component, each less
+    its smallest vertex; the factors of several components are merged into
+    one divisibility chain."""
+    components, nbrs = g.components(), g.neighbors()
+    chains = [snf(_reduced_laplacian(nbrs, c[1:])).invariant_factors for c in components]
+    if len(chains) == 1:
+        factors = tuple(d for d in chains[0] if d > 1)
+    else:
+        factors = _divisibility_chain([d for chain in chains for d in chain if d > 1])
     return CriticalGroup(factors, prod(factors), len(components))
 
 

@@ -8,6 +8,7 @@ ints, conference-graph eigenvalues are stored as (a + b*sqrt(disc)) / 2.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import isqrt
 
@@ -36,7 +37,7 @@ class Graph:
             raise ValueError("vertex count must be nonnegative")
         norm = set()
         for u, v in edges:
-            u, v = int(u), int(v)
+            u, v = operator.index(u), operator.index(v)
             if u == v:
                 raise ValueError(f"loop at vertex {u} not allowed")
             if not (0 <= u < n and 0 <= v < n):

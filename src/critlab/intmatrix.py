@@ -10,12 +10,14 @@ row by row, whitespace separated, as decimal integers.
 
 from __future__ import annotations
 
+import operator
+
 
 class IntMatrix:
     __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, rows: int, cols: int, data):
-        data = tuple(int(x) for x in data)
+        data = tuple(map(operator.index, data))
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(data) != rows * cols:
@@ -49,7 +51,7 @@ class IntMatrix:
         n = len(entries)
         data = [0] * (n * n)
         for i, x in enumerate(entries):
-            data[i * n + i] = int(x)
+            data[i * n + i] = x
         return cls(n, n, data)
 
     @classmethod

@@ -9,6 +9,7 @@ guarded to small graphs.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from random import Random
 
@@ -28,14 +29,13 @@ class ChipConfig:
     sink: int
 
     def __post_init__(self):
-        if not (0 <= self.sink < len(self.chips)):
+        chips = list(map(operator.index, self.chips))
+        if not (0 <= self.sink < len(chips)):
             raise ValueError(f"sink {self.sink} out of range")
-        if any(c < 0 for i, c in enumerate(self.chips) if i != self.sink):
+        if any(c < 0 for i, c in enumerate(chips) if i != self.sink):
             raise ValueError("chip counts must be nonnegative")
-        if self.chips[self.sink] != 0:
-            normalized = list(self.chips)
-            normalized[self.sink] = 0
-            object.__setattr__(self, "chips", tuple(normalized))
+        chips[self.sink] = 0
+        object.__setattr__(self, "chips", tuple(chips))
 
 
 def _graph_arrays(g: Graph, sink: int):

@@ -10,6 +10,8 @@ import time
 from math import prod
 from pathlib import Path
 
+import pytest
+
 from critlab import Graph, IntMatrix, format_edge_list, format_matrix
 from critlab.cli import build_parser, main
 
@@ -350,8 +352,9 @@ class TestMooreAnalyze:
         assert "forced multiplicities: (none)\n" in out
 
     def test_infeasible_params_exit_2(self, capsys):
-        code, _, err = run_cli(capsys, ["moore", "analyze", "--params", "10,3,1,1"])
-        assert code == 2
+        code, out, err = run_cli(capsys, ["moore", "analyze", "--params", "10,3,1,1"])
+        assert (code, out) == (2, "")
+        assert err.startswith("critlab: counting identity fails for SrgParams(v=10, k=3")
 
     def test_mu_0_exits_1(self, capsys):
         # 2K3 is a real graph, so this is a usage error, not an infeasibility
@@ -364,7 +367,37 @@ class TestMooreAnalyze:
         assert code == 1
 
 
+# (argv, what the one stderr line must say); every one exits 1 with no stdout
+USAGE_ERRORS = [
+    (["critgroup"], "one of the arguments --graph --edges is required"),
+    (["snf", "--format", "json"], "one of the arguments --graph --edges --matrix is required"),
+    (["critgroup", "--graph", "k3", "--edges", "-"], "argument --edges: not allowed with argument --graph"),
+    (["snf", "--matrix", "-", "--graph", "k3"], "argument --graph: not allowed with argument --matrix"),
+    (["critgroup", "--graph", ""], "unknown graph name ''"),
+    (["snf", "--matrix", ""], "No such file or directory: ''"),
+    (["profile", "--graph", "k3", "--prime", "4"], "argument --prime: 4 is not a prime"),
+    (["filtration", "--graph", "k3", "--prime", "five"], "argument --prime: invalid literal for int()"),
+    (
+        ["profile", "--graph", "k3", "--prime", "618970019642690137449562111"],
+        "argument --prime: no deterministic primality test for a 89-bit n",
+    ),
+    (["moore", "analyze", "--params", "50,7,0,1", "--prime", "1"], "argument --prime: 1 is not a prime"),
+    (["profile", "--graph", "k3"], "the following arguments are required: --prime"),
+    (["filtration", "--graph", "k3", "--prime", "2", "--prime", "3"], "filtration needs exactly one --prime"),
+    (["moore", "analyze", "--params", "1,2,3"], "argument --params: expected four integers v,k,lambda,mu"),
+    (["moore", "analyze", "--params", "a,b,c,d"], "argument --params: expected four integers v,k,lambda,mu"),
+    (["moore", "analyze", "--prime", "5"], "the following arguments are required: --params"),
+]
+
+
 class TestUsage:
+    @pytest.mark.parametrize("argv,message", USAGE_ERRORS)
+    def test_usage_errors_exit_1(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert message in err
+
     def test_no_command(self, capsys):
         assert main([]) == 1
 
@@ -427,7 +460,7 @@ class TestRepeatedCalls:
         _, fresh, _ = run_cli(capsys, argv)
         code, out, err = run_cli(capsys, ["filtration", "--graph", "petersen", "--prime", "five"])
         assert (code, out) == (1, "")
-        assert "invalid int value" in err
+        assert "argument --prime: invalid literal for int()" in err
         code, out, _ = run_cli(capsys, argv)
         assert code == 0
         assert out == fresh

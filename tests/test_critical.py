@@ -70,6 +70,14 @@ def paley_graph(q):
     return Graph(q, [(u, v) for u in range(q) for v in range(u + 1, q) if v - u in squares])
 
 
+def disjoint_union(*graphs):
+    edges, n = [], 0
+    for g in graphs:
+        edges += [(u + n, v + n) for u, v in g.edges]
+        n += g.n
+    return Graph(n, edges)
+
+
 def snf_critical_group(g):
     # invariant factors > 1 and free rank, from the Smith form of the Laplacian
     factors = integer_snf(laplacian_matrix(g))
@@ -141,6 +149,23 @@ class TestCriticalGroup:
         cg = critical_group(two_triangles)
         assert cg.free_rank == 2
         assert cg.order == 9
+
+    @pytest.mark.parametrize("g", SMALL_CONNECTED[:3] + DISCONNECTED)
+    def test_one_snf_call_per_component(self, g, monkeypatch):
+        shapes = []
+        monkeypatch.setattr(
+            "critlab.critical.snf", lambda m: shapes.append((m.rows, m.cols)) or exact.snf(m)
+        )
+        cg = critical_group(g)
+        assert shapes == [(len(c) - 1, len(c) - 1) for c in g.components()]
+        assert (cg.invariant_factors, cg.free_rank) == snf_critical_group(g)
+
+    def test_two_hoffman_singleton_copies(self):
+        # G + G has every invariant factor of G twice
+        hosi = critical_group(hoffman_singleton_graph()).invariant_factors
+        cg = critical_group(disjoint_union(hoffman_singleton_graph(), hoffman_singleton_graph()))
+        assert cg.invariant_factors == tuple(sorted(hosi * 2))
+        assert cg.free_rank == 2
 
     @pytest.mark.parametrize("g", SMALL_CONNECTED)
     def test_order_equals_tree_count(self, g):

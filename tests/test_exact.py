@@ -634,3 +634,29 @@ class TestMatrixTextFormat:
     def test_non_integer_entries(self):
         with pytest.raises(ValueError):
             parse_matrix("1 2\n1 x\n")
+
+
+class IndexOnly:
+    # an integer type that is not an int subclass, like numpy's
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+class TestEntryTypes:
+    @pytest.mark.parametrize("bad", [2.7, 2.0, "5"])
+    def test_non_integers_raise(self, bad):
+        with pytest.raises(TypeError):
+            IntMatrix(1, 2, [bad, 5])
+        with pytest.raises(TypeError):
+            IntMatrix.diagonal([1, bad])
+
+    def test_integer_types_become_ints(self):
+        m = IntMatrix(1, 3, [True, IndexOnly(-7), 10**30])
+        assert m == IntMatrix(1, 3, [1, -7, 10**30])
+        assert [type(x) for x in m.row(0)] == [int, int, int]
+        d = IntMatrix.diagonal([IndexOnly(2), False])
+        assert [type(x) for row in d.to_rows() for x in row] == [int] * 4
+        assert snf(d).invariant_factors == (2, 0)

@@ -29,6 +29,16 @@ class TestGraphType:
         with pytest.raises(ValueError):
             Graph(3, [(0, 3)])
 
+    @pytest.mark.parametrize("edge", [(0, 1.9), (0.0, 1), ("0", "1")])
+    def test_rejects_non_integer_vertices(self, edge):
+        with pytest.raises(TypeError):
+            Graph(3, [edge])
+
+    def test_bool_vertices_become_ints(self):
+        g = Graph(3, [(False, True), (2, True)])
+        assert g.edges == {(0, 1), (1, 2)}
+        assert all(type(x) is int for e in g.edges for x in e)
+
     def test_deduplicates_edges(self):
         g = Graph(3, [(0, 1), (1, 0)])
         assert g.m == 1

@@ -49,6 +49,16 @@ class TestStabilize:
         with pytest.raises(ValueError):
             ChipConfig((0, -1, 2), sink=0)
 
+    @pytest.mark.parametrize("chips", [(0, 1.5, 2), (0, 1.0, 2), (0, "1", 2)])
+    def test_non_integer_chips_rejected(self, chips):
+        with pytest.raises(TypeError):
+            ChipConfig(chips, sink=0)
+
+    def test_chips_become_an_int_tuple(self):
+        c = ChipConfig([3, True, 2], sink=0)
+        assert c.chips == (0, 1, 2)
+        assert [type(x) for x in c.chips] == [int, int, int]
+
     def test_abelian_property(self):
         # same stabilization no matter the firing order
         rng = random.Random(97)
