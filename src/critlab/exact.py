@@ -12,7 +12,8 @@ one minimal-|pivot| Smith loop: it diagonalises modulo s when a
 product-equals-|D| check certifies s, and modulo |D| otherwise, so entries
 stay below the modulus and the coefficient growth of integer elimination
 never sets in.  ``determinant`` is the Bareiss pass without right-hand
-sides.
+sides, and so is the exact rank that ``_certified_exponents`` needs for a
+rank-deficient input without zero row or column sums.
 
 The other routes are kept independent on purpose, as oracles that check
 ``snf`` and each other:
@@ -20,10 +21,10 @@ The other routes are kept independent on purpose, as oracles that check
 * ``elem_divisor_profile`` never forms the integer Smith form; it eliminates
   modulo p^b with valuation-aware pivoting (``_eliminate_mod``), which keeps
   entries bounded and gives the per-prime structure; b grows until a
-  certificate shows that every nonzero divisor has been found.  The same
-  kernel, with a column tracker, gives the filtration levels in
-  ``filtration.py``, so the filtration identities are not an independent
-  check of the profile.
+  certificate shows that every nonzero divisor has been found
+  (``_certified_exponents``).  The same loop, with a column tracker, gives
+  the filtration levels in ``filtration.py`` from its last pass, so the
+  filtration identities are not an independent check of the profile.
 * integer elimination with no modulus, the oracle for ``snf``, lives in
   the test suite (``tests/oracles.py``, ``integer_snf``).
 
@@ -443,48 +444,68 @@ def elem_divisor_profile(m: IntMatrix, p: int) -> ElemDivisorProfile:
     adaptively and stops only on a certificate that no nonzero divisor is
     missing; it never goes above the Hadamard ceiling H + 1.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    size = min(m.rows, m.cols)
-    if size == 0:
-        return ElemDivisorProfile(p, (), 0)
-    exps = _certified_exponents(m, p)
-    if exps:
-        mult_list = [0] * (max(exps) + 1)
-        for v in exps:
-            mult_list[v] += 1
-    else:
-        mult_list = []
-    return ElemDivisorProfile(p, tuple(mult_list), size - len(exps))
+    return _profile(p, _certified_exponents(m, p), min(m.rows, m.cols))
 
 
-def _certified_exponents(m: IntMatrix, p: int) -> list[int]:
+def _profile(p: int, exps: list[int], size: int) -> ElemDivisorProfile:
+    """The profile of a matrix with min(rows, cols) = size whose nonzero
+    elementary divisors have the p-exponents ``exps``."""
+    mult = [0] * (max(exps) + 1 if exps else 0)
+    for v in exps:
+        mult[v] += 1
+    return ElemDivisorProfile(p, tuple(mult), size - len(exps))
+
+
+def _certified_exponents(
+    m: IntMatrix, p: int, track: list[list[int]] | None = None
+) -> list[int]:
     """Pivot exponents of every nonzero elementary divisor, precision adaptive.
 
     A pass modulo p^b finds exactly the divisors with exponent < b.  The
-    loop doubles b from 2 and stops when one of two certificates says none
-    is missing:
+    loop doubles b and stops when one of two certificates says none is
+    missing:
 
     (a) the pivot count reaches an upper bound on the rank over Q: columns
         minus one when every row sums to 0 (the all-ones vector is in the
-        kernel), rows minus one when every column sums to 0, and
-        min(rows, cols) otherwise;
+        kernel), rows minus one when every column sums to 0, and otherwise
+        min(rows, cols) until a pass finds fewer pivots, and from then on
+        the exact rank from one fraction-free pass (``_bareiss``);
     (b) sum(exponents) + b > H, the Hadamard bound on the total valuation
         (``_valuation_bound``): a missing divisor has exponent >= b.
 
-    b is capped at H + 1, where (b) always holds.  Without a zero-sum row or
-    column certificate, (a) needs full rank, which rank-deficient inputs
-    never reach, so those make one pass at H + 1 instead of doubling.
+    With a zero-sum certificate b starts at 2, since graph Laplacians
+    mostly have small exponents.  Other inputs start at the largest b with
+    p^(2b) < 2^30, where every product of two entries below p^b fits one
+    CPython digit: b = 14, 9, 6, 5 at p = 2, 3, 5, 7.  b is capped at
+    H + 1, where (b) always holds.
+
+    ``track``, if given, is reset to the identity's m.cols columns before
+    every pass and receives that pass's column operations
+    (``_eliminate_mod``), so it ends with the transform of the last pass.
     """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    size = min(m.rows, m.cols)
     ceiling = _valuation_bound(m, p) + 1
-    rows = [m.row(i) for i in range(m.rows)]
+    rows = m.to_rows()
     cap = min(
         m.rows - all(sum(col) == 0 for col in zip(*rows)),
         m.cols - all(sum(row) == 0 for row in rows),
     )
-    b = min(2, ceiling) if cap < min(m.rows, m.cols) else ceiling
+    if cap < size:
+        b = 2
+    else:
+        b = 1
+        while p ** (2 * b + 2) < 1 << 30:
+            b += 1
+    b = min(b, ceiling)
+    rank = None
     while True:
-        exps = _eliminate_mod(m, p, b)
+        if track is not None:
+            track[:] = [[int(r == c) for r in range(m.cols)] for c in range(m.cols)]
+        exps = _eliminate_mod(m, p, b, track)
+        if len(exps) < cap == size and rank is None:
+            cap = rank = _bareiss(rows, ())[0]
         if len(exps) >= cap or sum(exps) + b >= ceiling:
             return exps
         b = min(2 * b, ceiling)

@@ -21,9 +21,13 @@ every level i <= b:
 * N_i is generated by the images of those generators under m, divided by
   p^i.
 
-``verify_filtration_dims`` runs that elimination once, modulo p^depth
-with depth = max exponent + 1, and checks once per column that the images
-are divisible as these generators need.  Mod p the generators then nest:
+``verify_filtration_dims`` takes that elimination from the last pass of
+the certified loop behind ``elem_divisor_profile``
+(``exact._certified_exponents``), which runs modulo p^b for some b >
+max exponent, so one elimination gives both the profile and the levels.
+It reduces q modulo p^depth, with depth = max exponent + 1, which keeps
+the images small, and checks once per column that the images are
+divisible as these generators need.  Mod p the generators then nest:
 M_i mod p is spanned by the non-pivot columns and the pivot columns with
 v_k >= i, N_i mod p by the images m q_k / p^v_k with v_k <= i (and, at
 depth, by the non-pivot images), and every other generator is 0 mod p.
@@ -33,13 +37,13 @@ through depth as the rank of a prefix, building no lattice.  Beyond depth
 both chains are provably constant, so the report repeats the level-depth
 values up to level total valuation + 1 instead of measuring them.  The
 kernel over Z is saturated, so its dimension mod p is the column count
-minus the rank.  The expected side comes from ``elem_divisor_profile``,
-which runs the same elimination kernel, so the two sides are not
-independent.  The anchors are the tests against the integer Smith form
-(``integer_snf`` in ``tests/oracles.py``), against the ranks of each
-level's generators, and against ``filtration_M`` / ``filtration_N``, which
-build the echelon ``Lattice`` of one level from their own elimination
-modulo p^i; no CLI command uses them.
+minus the rank.  The expected side comes from the pivot exponents of the
+same pass, so the two sides are not independent.  The anchors are the
+tests against the integer Smith form (``integer_snf`` in
+``tests/oracles.py``), against the ranks of each level's generators, and
+against ``filtration_M`` / ``filtration_N``, which build the echelon
+``Lattice`` of one level from their own elimination modulo p^i; no CLI
+command uses them.
 """
 
 from __future__ import annotations
@@ -48,32 +52,27 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .exact import _eliminate_mod, _rank_profile_mod_p, elem_divisor_profile
+from .exact import _certified_exponents, _eliminate_mod, _profile, _rank_profile_mod_p
 from .intmatrix import IntMatrix
 from .lattices import Lattice
 
 
-def _tracked_elimination(
-    m: IntMatrix, p: int, b: int
-) -> tuple[list[int], list[list[int]], list[list[int]]]:
-    """Eliminate m once modulo p^b with a column tracker: the pivot
-    exponents v_k, the columns q_k of the transform and their images m q_k.
+def _checked_images(
+    m: IntMatrix, p: int, exps: list[int], q: list[list[int]], b: int
+) -> list[list[int]]:
+    """The images m q_k of the columns q_k that an elimination modulo p^b
+    with pivot exponents v_k tracked, each checked once.
 
-    Checks each image once: m q_k is 0 mod p^v_k for a pivot column k and
-    0 mod p^b for the other columns.  That is the divisibility of every
-    level's image generators by p^i, for all i <= b at once.
+    m q_k is 0 mod p^v_k for a pivot column k and 0 mod p^b for the other
+    columns.  That is the divisibility of every level's image generators by
+    p^i, for all i <= b at once.
     """
-    if b < 0:
-        raise ValueError("filtration level must be nonnegative")
-    C = m.cols
-    q = [[int(r == c) for r in range(C)] for c in range(C)]
-    exps = _eliminate_mod(m, p, b, q)
     mq = [m.mul_vector(qk) for qk in q]
     for k, y in enumerate(mq):
         pv = p ** (exps[k] if k < len(exps) else b)
         if any(x % pv for x in y):
             raise AssertionError("image not divisible by p^i; filtration bug")
-    return exps, q, mq
+    return mq
 
 
 def _level_generators(
@@ -85,7 +84,11 @@ def _level_generators(
     of length m.cols) and of N_i (length m.rows), as in the module
     docstring.
     """
-    exps, q, mq = _tracked_elimination(m, p, b)
+    if b < 0:
+        raise ValueError("filtration level must be nonnegative")
+    q = [[int(r == c) for r in range(m.cols)] for c in range(m.cols)]
+    exps = _eliminate_mod(m, p, b, q)
+    mq = _checked_images(m, p, exps, q, b)
 
     def level(i: int) -> tuple[list, list]:
         if not 0 <= i <= b:
@@ -152,15 +155,20 @@ class FiltrationReport:
 def verify_filtration_dims(m: IntMatrix, p: int) -> FiltrationReport:
     """Check both dimension identities at every level up to stabilization.
 
-    The expected dimensions come from ``elem_divisor_profile``.  The
-    measured ones are ranks mod p of the level generators; the kernel's is
-    m.cols minus the rank.
+    One certified loop (``_certified_exponents``, the loop of
+    ``elem_divisor_profile``, so it tries the same precisions) gives the
+    pivot exponents and, from its last pass modulo p^b, the column
+    transform q.  The expected dimensions come from the profile of those
+    exponents.  The measured ones are ranks mod p of the level generators;
+    the kernel's is m.cols minus the rank.
 
-    Levels 0 through depth = max exponent + 1 (``len(e)``) are measured, on
-    one tracked elimination modulo p^depth (``_tracked_elimination``).  Its
-    divisibility check, once per column, is what makes the generators
-    named below 0 mod p.  Mod p both chains nest, so each is one ordered
-    list of rows whose prefixes span the levels, and one rank profile
+    Levels 0 through depth = max exponent + 1 (``len(e)``) are measured.
+    b >= depth, so q reduced modulo p^depth still gives generators of every
+    level i <= depth (the identity stays as it is at depth 0, where no
+    pass found a pivot).  The divisibility check of their images, once per
+    column (``_checked_images``), is what makes the generators named below
+    0 mod p.  Mod p both chains nest, so each is one ordered list of rows
+    whose prefixes span the levels, and one rank profile
     (``_rank_profile_mod_p``) gives every level's dimension as a prefix
     rank:
 
@@ -179,13 +187,18 @@ def verify_filtration_dims(m: IntMatrix, p: int) -> FiltrationReport:
     image.  The report then repeats level depth, without measuring it, up
     to level 1 + v_p(product of invariant factors).
     """
-    profile = elem_divisor_profile(m, p)
+    q: list[list[int]] = []
+    exps = _certified_exponents(m, p, q)
+    profile = _profile(p, exps, min(m.rows, m.cols))
     e = profile.multiplicities
     depth = len(e)
     top = profile.total_valuation + 1
     # the integer kernel is saturated, so its reduction mod p keeps its rank
     kernel_dim = m.cols - profile.rank
-    exps, q, mq = _tracked_elimination(m, p, depth)
+    if depth:
+        mod = p**depth
+        q = [[x % mod for x in qk] for qk in q]
+    mq = _checked_images(m, p, exps, q, depth)
     C, r = m.cols, len(exps)
     order = sorted(range(r), key=exps.__getitem__)
     ranks_m = _rank_profile_mod_p(q[r:] + [q[k] for k in reversed(order)], p)

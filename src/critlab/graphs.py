@@ -33,6 +33,7 @@ class Graph:
     __slots__ = ("n", "edges", "_neighbors", "_components")
 
     def __init__(self, n: int, edges):
+        n = operator.index(n)
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         norm = set()

@@ -17,6 +17,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, rows: int, cols: int, data):
+        rows, cols = operator.index(rows), operator.index(cols)
         data = tuple(map(operator.index, data))
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")

@@ -7,10 +7,10 @@ back-substitution and keeps entries from blowing up while vectors are added.
 
 No CLI command uses this module.  It backs ``filtration_M`` / ``filtration_N``,
 the membership API and the reference route that the tests hold
-``verify_filtration_dims`` against.  That route shares
-``filtration._tracked_elimination`` with the function it checks, so it is not
-an independent oracle; the integer Smith form (``integer_snf`` in
-``tests/oracles.py``) is.
+``verify_filtration_dims`` against.  That route shares the elimination kernel
+``exact._eliminate_mod`` and the image check ``filtration._checked_images``
+with the function it checks, so it is not an independent oracle; the integer
+Smith form (``integer_snf`` in ``tests/oracles.py``) is.
 """
 
 from __future__ import annotations

@@ -30,12 +30,14 @@ class ChipConfig:
 
     def __post_init__(self):
         chips = list(map(operator.index, self.chips))
-        if not (0 <= self.sink < len(chips)):
-            raise ValueError(f"sink {self.sink} out of range")
-        if any(c < 0 for i, c in enumerate(chips) if i != self.sink):
+        sink = operator.index(self.sink)
+        if not (0 <= sink < len(chips)):
+            raise ValueError(f"sink {sink} out of range")
+        if any(c < 0 for i, c in enumerate(chips) if i != sink):
             raise ValueError("chip counts must be nonnegative")
-        chips[self.sink] = 0
+        chips[sink] = 0
         object.__setattr__(self, "chips", tuple(chips))
+        object.__setattr__(self, "sink", sink)
 
 
 def _graph_arrays(g: Graph, sink: int):

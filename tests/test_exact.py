@@ -480,6 +480,10 @@ def _block_diagonal(blocks):
 
 _ZERO_SUM_SHAPES = [(4, 4), (6, 6), (3, 5), (2, 6), (5, 3), (6, 2)]
 
+# the first precision of inputs without a zero-sum certificate: the largest
+# b with p^(2b) < 2^30, capped at the Hadamard ceiling
+_START = {2: 14, 3: 9, 5: 6, 7: 5}
+
 
 class TestCertifiedPrecision:
     """The adaptive profile against one pass at the Hadamard ceiling and snf."""
@@ -494,6 +498,21 @@ class TestCertifiedPrecision:
             return _eliminate_mod(m, p, b, track)
 
         monkeypatch.setattr(exact, "_eliminate_mod", recorder)
+        return seen
+
+    @pytest.fixture
+    def ranked(self, monkeypatch):
+        """The row counts of the _bareiss calls without right-hand sides,
+        which a profile makes for rule (a)'s exact rank (snf's have two)."""
+        seen = []
+
+        def recorder(a, rhs):
+            if not rhs:
+                seen.append(len(a))
+            return bareiss(a, rhs)
+
+        bareiss = exact._bareiss
+        monkeypatch.setattr(exact, "_bareiss", recorder)
         return seen
 
     @staticmethod
@@ -541,13 +560,14 @@ class TestCertifiedPrecision:
     def test_wide_zero_row_sums_keep_full_row_rank(self, tried):
         # rows sum to 0, yet the rank is min(rows, cols) = 2: the all-ones
         # kernel vector lowers only the column count, so the rank bound stays
-        # 2 and a pass at p^2, with its single pivot, must not stop the loop
+        # 2, and the input starts at the precision of inputs without a
+        # zero-sum certificate, where it finds both pivots, not at p^2
         for p in (2, 3, 5):
             m = IntMatrix.from_rows([[1, -1, 0], [0, p**5, -(p**5)]])
             prof, precisions = self.check(m, p, tried)
             assert prof.multiplicities == (1, 0, 0, 0, 0, 1)
             assert prof.kernel_rank == 0
-            assert precisions == (_valuation_bound(m, p) + 1,)
+            assert precisions == (min(_START[p], _valuation_bound(m, p) + 1),)
 
     def test_disconnected_laplacians_stop_on_the_valuation_bound(self, tried):
         rng = random.Random(4545)
@@ -575,17 +595,51 @@ class TestCertifiedPrecision:
             assert prof.multiplicities == (0,) * 20 + (1,)
             assert prof.kernel_rank == 1
 
-    def test_rank_deficient_tall_matrices_make_one_pass(self, tried):
+    def test_rank_deficient_tall_matrices_make_one_pass(self, tried, ranked):
+        # the first pass finds every pivot, and the exact rank stops the loop
         rng = random.Random(4646)
+        below = 0
         for k in range(24):
             c = 2 + k % 5
             a = [[rng.randint(-5, 5) for _ in range(c - 1)] for _ in range(c + 2)]
             b = [[rng.randint(-5, 5) for _ in range(c)] for _ in range(c - 1)]
             m = IntMatrix.from_rows(a) @ IntMatrix.from_rows(b)
             for p in (2, 3, 5):
+                ranked.clear()
                 prof, precisions = self.check(m, p, tried)
                 assert prof.rank < c
-                assert precisions == (_valuation_bound(m, p) + 1,)
+                assert ranked == [m.rows]
+                ceiling = _valuation_bound(m, p) + 1
+                assert precisions == (min(_START[p], ceiling),)
+                below += precisions[0] < ceiling
+        assert below >= 60
+
+    def test_full_rank_without_zero_sums_stops_below_the_ceiling(self, tried, ranked):
+        # the reduced Laplacian of HoSi: square, nonsingular, no zero sums
+        lap = laplacian_matrix(hoffman_singleton_graph()).to_rows()
+        m = IntMatrix.from_rows([row[1:] for row in lap[1:]])
+        for p in (2, 3, 5, 7):
+            prof, precisions = self.check(m, p, tried)
+            assert prof.kernel_rank == 0
+            assert precisions == (_START[p],)
+            assert _START[p] < _valuation_bound(m, p) + 1
+        # a full-rank pass needs no rank
+        assert ranked == []
+
+    def test_rank_deficient_deep_divisor_needs_the_exact_rank(self, tried, ranked):
+        # rank 2 of min(rows, cols) = 3, no zero sums, a divisor p^20 that
+        # the first pass misses and large rows that lift the ceiling: the
+        # loop must double until the pivot count reaches the rank from
+        # _bareiss, and only that stops it below rule (b)
+        for p, expected in ((2, (14, 28)), (3, (9, 18, 36)), (5, (6, 12, 24))):
+            x, y, z = p**20, p**25, p**30
+            m = IntMatrix.from_rows([[1, 0, 0], [0, x, 0], [y, x, 0], [z, 0, 0]])
+            ranked.clear()
+            prof, precisions = self.check(m, p, tried)
+            assert prof.multiplicities == (1,) + (0,) * 19 + (1,)
+            assert prof.kernel_rank == 1
+            assert precisions == expected
+            assert ranked == [m.rows]
 
     def test_hoffman_singleton_p5_tries_2_then_4(self, tried):
         lap = laplacian_matrix(hoffman_singleton_graph())
@@ -652,6 +706,11 @@ class TestEntryTypes:
             IntMatrix(1, 2, [bad, 5])
         with pytest.raises(TypeError):
             IntMatrix.diagonal([1, bad])
+
+    @pytest.mark.parametrize("shape", [(1.0, 2), (1, 2.0), ("1", 2)])
+    def test_non_integer_dimensions_raise(self, shape):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            IntMatrix(*shape, [1, 5])
 
     def test_integer_types_become_ints(self):
         m = IntMatrix(1, 3, [True, IndexOnly(-7), 10**30])

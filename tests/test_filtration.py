@@ -15,7 +15,7 @@ from critlab import (
     elem_divisor_profile,
     verify_filtration_dims,
 )
-from critlab import filtration
+from critlab import exact, filtration
 from critlab.exact import _eliminate_mod, _rank_profile_mod_p, _rank_rows_mod_p
 from critlab.filtration import _level_generators
 from oracles import integer_snf, profile_from_snf, random_int_matrix
@@ -266,9 +266,41 @@ class TestRankProfileRoute:
                 track[len(exps)][0] += 1
             return exps
 
-        monkeypatch.setattr(filtration, "_eliminate_mod", corrupting)
+        monkeypatch.setattr(exact, "_eliminate_mod", corrupting)
         with pytest.raises(AssertionError, match="not divisible"):
             verify_filtration_dims(lap, 5)
+
+    def test_one_certified_loop_for_profile_and_levels(self, monkeypatch):
+        # verify_filtration_dims makes the passes of elem_divisor_profile,
+        # each with a tracker, and no other elimination
+        passes = []
+
+        def recorder(m, p, b, track=None):
+            passes.append((b, track is not None))
+            return _eliminate_mod(m, p, b, track)
+
+        monkeypatch.setattr(exact, "_eliminate_mod", recorder)
+        monkeypatch.setattr(filtration, "_eliminate_mod", recorder)
+        hosi = laplacian_matrix(hoffman_singleton_graph())
+        reduced = IntMatrix.from_rows([row[1:] for row in hosi.to_rows()[1:]])
+        x = 30**20  # a divisor p^20 at p = 2, 3, 5
+        deep = [
+            IntMatrix.from_rows([[x, -x], [-x, x]]),
+            IntMatrix.from_rows([[1, 0, 0], [0, x, 0], [30 * x, x, 0]]),
+        ]
+        matrices = _profile_route_matrices()[::7] + [hosi, reduced] + deep
+        doubled = 0
+        for m in matrices:
+            for p in (2, 3, 5):
+                passes.clear()
+                elem_divisor_profile(m, p)
+                tried = [b for b, tracked in passes if not tracked]
+                assert len(tried) == len(passes)
+                passes.clear()
+                assert verify_filtration_dims(m, p).passed
+                assert passes == [(b, True) for b in tried]
+                doubled += len(tried) > 1
+        assert doubled >= 7
 
 
 class TestHoffmanSingleton:

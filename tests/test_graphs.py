@@ -34,6 +34,11 @@ class TestGraphType:
         with pytest.raises(TypeError):
             Graph(3, [edge])
 
+    @pytest.mark.parametrize("n", [3.0, "3"])
+    def test_rejects_non_integer_vertex_count(self, n):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            Graph(n, [(0, 1)])
+
     def test_bool_vertices_become_ints(self):
         g = Graph(3, [(False, True), (2, True)])
         assert g.edges == {(0, 1), (1, 2)}

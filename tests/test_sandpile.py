@@ -54,6 +54,11 @@ class TestStabilize:
         with pytest.raises(TypeError):
             ChipConfig(chips, sink=0)
 
+    @pytest.mark.parametrize("sink", [1.0, "1"])
+    def test_non_integer_sink_rejected(self, sink):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            ChipConfig((0, 1, 2), sink)
+
     def test_chips_become_an_int_tuple(self):
         c = ChipConfig([3, True, 2], sink=0)
         assert c.chips == (0, 1, 2)
