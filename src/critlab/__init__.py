@@ -22,12 +22,7 @@ from .exact import (
     rank_mod_p,
     snf,
 )
-from .filtration import (
-    FiltrationReport,
-    filtration_M,
-    filtration_N,
-    verify_filtration_dims,
-)
+from .filtration import FiltrationReport, verify_filtration_dims
 from .graphs import (
     ExistenceUnknownError,
     Graph,
@@ -49,7 +44,6 @@ from .graphs import (
     srg_spectrum,
 )
 from .intmatrix import IntMatrix, format_matrix, parse_matrix
-from .lattices import Lattice, kernel_basis
 from .moore import (
     AffineExpr,
     ContradictionError,
@@ -87,7 +81,6 @@ __all__ = [
     "InfeasibleParametersError",
     "IntMatrix",
     "LaplacianIdentity",
-    "Lattice",
     "QuadraticNumber",
     "SizeGuardError",
     "SnfResult",
@@ -109,15 +102,12 @@ __all__ = [
     "enumerate_families",
     "factorize",
     "family_membership",
-    "filtration_M",
-    "filtration_N",
     "forced_multiplicities",
     "format_edge_list",
     "format_matrix",
     "hoffman_singleton_graph",
     "is_prime",
     "is_recurrent",
-    "kernel_basis",
     "laplacian_matrix",
     "moore_graph",
     "parse_edge_list",

@@ -32,12 +32,12 @@ The other routes are kept independent on purpose, as oracles that check
 ``_rank_profile_mod_p``, gives the rank of every prefix of a list of rows,
 each row packed into one int: for p = 2 as a bitset for ``_rank_f2``, an
 XOR basis, and for odd p with one column per wide slot, reduced against a
-basis keyed by leading column.  ``_rank_rows_mod_p`` is its last entry.
-``_rank_f2`` is also the engine of the bicycle dimension, and the prefix
-ranks give every filtration level of one chain at once.  Gaussian
-elimination on lists (``_gauss_rank_mod_p`` in ``tests/oracles.py``) is
-the independent check of the kernel; ``rank_mod_p`` is in turn an oracle
-only for the e_0 entry of the profiles.
+basis keyed by leading column.  ``_rank_f2`` is also the engine of the
+bicycle dimension, and the prefix ranks give every filtration level of one
+chain at once.  Gaussian elimination on lists (``_gauss_rank_mod_p`` in
+``tests/oracles.py``) is the independent check of the kernel;
+``rank_mod_p`` is in turn an oracle only for the e_0 entry of the
+profiles.
 """
 
 from __future__ import annotations
@@ -309,12 +309,7 @@ def rank_mod_p(m: IntMatrix, p: int) -> int:
     """Rank of the entrywise mod-p reduction over the field with p elements."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return _rank_rows_mod_p(map(m.row, range(m.rows)), p)
-
-
-def _rank_rows_mod_p(rows: Iterable[Sequence[int]], p: int) -> int:
-    """Rank over F_p of equal-length integer rows: the last prefix rank."""
-    return _rank_profile_mod_p(rows, p)[-1]
+    return _rank_profile_mod_p(map(m.row, range(m.rows)), p)[-1]
 
 
 def _rank_profile_mod_p(rows: Iterable[Sequence[int]], p: int) -> list[int]:

@@ -40,21 +40,18 @@ kernel over Z is saturated, so its dimension mod p is the column count
 minus the rank.  The expected side comes from the pivot exponents of the
 same pass, so the two sides are not independent.  The anchors are the
 tests against the integer Smith form (``integer_snf`` in
-``tests/oracles.py``), against the ranks of each level's generators, and
-against ``filtration_M`` / ``filtration_N``, which build the echelon
-``Lattice`` of one level from their own elimination modulo p^i; no CLI
-command uses them.
+``tests/oracles.py``) and against the F_p rank of each level's own
+generators, taken one level at a time instead of as prefixes of one
+profile.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Callable
 from dataclasses import dataclass
 
-from .exact import _certified_exponents, _eliminate_mod, _profile, _rank_profile_mod_p
+from .exact import _certified_exponents, _profile, _rank_profile_mod_p
 from .intmatrix import IntMatrix
-from .lattices import Lattice
 
 
 def _checked_images(
@@ -73,59 +70,6 @@ def _checked_images(
         if any(x % pv for x in y):
             raise AssertionError("image not divisible by p^i; filtration bug")
     return mq
-
-
-def _level_generators(
-    m: IntMatrix, p: int, b: int
-) -> Callable[[int], tuple[list, list]]:
-    """Eliminate m once modulo p^b; return the generators of each level.
-
-    The returned function maps a level i <= b to generators of M_i (vectors
-    of length m.cols) and of N_i (length m.rows), as in the module
-    docstring.
-    """
-    if b < 0:
-        raise ValueError("filtration level must be nonnegative")
-    q = [[int(r == c) for r in range(m.cols)] for c in range(m.cols)]
-    exps = _eliminate_mod(m, p, b, q)
-    mq = _checked_images(m, p, exps, q, b)
-
-    def level(i: int) -> tuple[list, list]:
-        if not 0 <= i <= b:
-            raise ValueError(f"level {i} outside 0..{b}")
-        pi = p**i
-        dom, img = [], []
-        for k, (qk, yk) in enumerate(zip(q, mq)):
-            s = p ** max(0, i - exps[k]) if k < len(exps) else 1
-            dom.append([s * x for x in qk])
-            img.append([s * x // pi for x in yk])
-        return dom, img
-
-    return level
-
-
-def filtration_M(m: IntMatrix, p: int, i: int) -> Lattice:
-    """Sublattice of Z^cols whose images under m are divisible by p^i.
-
-    Membership of x depends only on x mod p^i, so the lattice is the full
-    preimage of ker(m mod p^i): its generators come from an elimination
-    modulo p^i that tracks column operations (``_level_generators``).
-    """
-    C, pi = m.cols, p**i
-    dom, _ = _level_generators(m, p, i)(i)
-    # p^i Z^cols lies in the lattice, so adding its basis lets the other
-    # generators be reduced mod p^i, which keeps the echelon entries small
-    return Lattice(
-        C,
-        [[x % pi for x in g] for g in dom]
-        + [[pi * (r == x) for r in range(C)] for x in range(C)],
-    )
-
-
-def filtration_N(m: IntMatrix, p: int, i: int) -> Lattice:
-    """Lattice of images of the level-i domain sublattice, divided by p^i."""
-    _, img = _level_generators(m, p, i)(i)
-    return Lattice(m.rows, img)
 
 
 @dataclass(frozen=True)

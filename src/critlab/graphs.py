@@ -363,7 +363,13 @@ def srg_spectrum(params: SrgParams) -> SrgSpectrum:
 
 
 def check_srg(g: Graph, params: SrgParams) -> bool:
-    """Entrywise test of A^2 = k*I + lam*A + mu*(J - A - I).
+    """Entrywise test of A^2 = k*I + lam*A + mu*(J - A - I), on neighbour
+    bitsets.
+
+    On a simple graph (A^2)_uu is the degree of u and (A^2)_uw, u != w, is
+    the number of common neighbours of u and w.  So the identity says that
+    every degree is k and that adjacent pairs share lam neighbours and
+    non-adjacent pairs mu; each pair is one AND of two row bitsets.
 
     Returns False (rather than raising) when the vertex count differs from
     params.v, so mismatched inputs read as "not that SRG".
@@ -371,9 +377,13 @@ def check_srg(g: Graph, params: SrgParams) -> bool:
     v, k, lam, mu = params.as_tuple()
     if g.n != v:
         return False
-    a = adjacency_matrix(g)
-    lhs = a @ a
-    eye = IntMatrix.identity(v)
-    jay = IntMatrix.ones(v, v)
-    rhs = k * eye + lam * a + mu * (jay - a - eye)
-    return lhs == rhs
+    nbrs = g.neighbors()
+    if any(len(row) != k for row in nbrs):
+        return False
+    rows = [sum(1 << w for w in row) for row in nbrs]
+    for u, row_u in enumerate(rows):
+        for w in range(u + 1, v):
+            want = lam if row_u >> w & 1 else mu
+            if (row_u & rows[w]).bit_count() != want:
+                return False
+    return True

@@ -55,10 +55,6 @@ class IntMatrix:
             data[i * n + i] = x
         return cls(n, n, data)
 
-    @classmethod
-    def ones(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, [1] * (rows * cols))
-
     # -- access ------------------------------------------------------------
 
     def __getitem__(self, ij) -> int:
@@ -79,51 +75,7 @@ class IntMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def is_symmetric(self) -> bool:
-        if not self.is_square:
-            return False
-        return all(
-            self[i, j] == self[j, i] for i in range(self.rows) for j in range(i)
-        )
-
     # -- arithmetic ----------------------------------------------------------
-
-    def _check_same_shape(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        self._check_same_shape(other)
-        return IntMatrix(
-            self.rows, self.cols, [a + b for a, b in zip(self._data, other._data)]
-        )
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        self._check_same_shape(other)
-        return IntMatrix(
-            self.rows, self.cols, [a - b for a, b in zip(self._data, other._data)]
-        )
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, [-a for a in self._data])
-
-    def __mul__(self, scalar: int) -> "IntMatrix":
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return IntMatrix(self.rows, self.cols, [scalar * a for a in self._data])
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions do not match")
-        a = self.to_rows()
-        bt = other.transpose().to_rows()
-        data = []
-        for arow in a:
-            for bcol in bt:
-                data.append(sum(x * y for x, y in zip(arow, bcol)))
-        return IntMatrix(self.rows, other.cols, data)
 
     def mul_vector(self, vec) -> list[int]:
         """Matrix-vector product as a list of ints."""
@@ -135,13 +87,6 @@ class IntMatrix:
         return [
             sum(d[i * c + j] * vec[j] for j in range(c)) for i in range(self.rows)
         ]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            [self._data[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
-        )
 
     # -- misc ----------------------------------------------------------------
 

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 from .arith import factorize, is_prime, prime_power_divisors, valuation
 from .critical import predicted_order_from_spectrum
-from .graphs import Graph, SrgParams, laplacian_matrix, srg_spectrum
-from .intmatrix import IntMatrix
+from .graphs import SrgParams, srg_spectrum
 
 
 class ContradictionError(Exception):
@@ -51,14 +50,6 @@ class LaplacianIdentity:
     @property
     def w_factored(self) -> dict[int, int]:
         return factorize(self.w)
-
-    def holds_on(self, g: Graph) -> bool:
-        """Entrywise verification on an actual graph."""
-        n = g.n
-        lap = laplacian_matrix(g)
-        lhs = (lap - self.shift * IntMatrix.identity(n)) @ lap
-        rhs = (-self.w) * IntMatrix.identity(n) + self.j_coeff * IntMatrix.ones(n, n)
-        return lhs == rhs
 
 
 def derive_laplacian_identity(params: SrgParams) -> LaplacianIdentity:

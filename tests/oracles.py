@@ -1,14 +1,19 @@
 """Independent oracles for the test suite.
 
 Everything here recomputes results by a route that shares no elimination
-code with the library: spanning trees by exhaustive subset enumeration,
+code with the library, and nothing here imports ``critlab.exact`` or
+``critlab.filtration``: spanning trees by exhaustive subset enumeration,
 Smith forms by integer elimination (``integer_snf``) and from
 determinantal divisors (gcds of k x k minors), bicycle
 dimensions by enumerating the binary cut space, elementary-divisor
 profiles read off an integer Smith form, admissible SRG multiplicity
 vectors by exhaustive search, ranks over F_p by Gaussian elimination on
-lists (``_gauss_rank_mod_p``), and primality and factorization by plain
-trial division.  The trial-division pair is the independent
+lists (``_gauss_rank_mod_p``), matrix products by the row-times-column
+definition (``matmul``), lattice bases in Hermite normal form
+(``hermite_rows``) and integer kernels from the Hermite form of [m; I]
+(``kernel_basis``), the Laplacian identity of an SRG entrywise on plain
+lists (``laplacian_identity_holds``), and primality and factorization by
+plain trial division.  The trial-division pair is the independent
 reference for the library's Miller-Rabin ``is_prime`` and Pollard-Brent
 rho ``factorize``; it is exact but slow beyond about 2^40.
 """
@@ -246,6 +251,92 @@ def _gauss_rank_mod_p(rows, p: int) -> int:
         if rank == R:
             break
     return rank
+
+
+def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The product a b, each entry a row of a times a column of b.
+
+    An inner dimension of 0 gives the zero matrix of shape a.rows x b.cols.
+    """
+    if a.cols != b.rows:
+        raise ValueError("inner dimensions do not match")
+    cols = [[b[i, j] for i in range(b.rows)] for j in range(b.cols)]
+    return IntMatrix(
+        a.rows,
+        b.cols,
+        [sum(x * y for x, y in zip(a.row(i), col)) for i in range(a.rows) for col in cols],
+    )
+
+
+def hermite_rows(vectors, n: int) -> list[list[int]]:
+    """Basis of the lattice spanned by integer vectors of length n, in row
+    Hermite normal form.
+
+    Column by column, Euclid's algorithm on the remaining rows leaves one
+    row with a nonzero entry there, the pivot, made positive; the rows
+    above are reduced into [0, pivot) in that column.  The form is unique,
+    so two lists of vectors span the same lattice exactly when their forms
+    are equal.
+    """
+    rows = [list(v) for v in vectors]
+    if any(len(v) != n for v in rows):
+        raise ValueError("vector length does not match the ambient dimension")
+    r = 0
+    for j in range(n):
+        live = [i for i in range(r, len(rows)) if rows[i][j]]
+        if not live:
+            continue
+        while len(live) > 1:
+            # the smallest entry becomes the pivot; the rest drop below it
+            top = min(live, key=lambda i: abs(rows[i][j]))
+            rows[r], rows[top] = rows[top], rows[r]
+            piv = rows[r]
+            for i in range(r + 1, len(rows)):
+                q = rows[i][j] // piv[j]
+                if q:
+                    rows[i] = [x - q * y for x, y in zip(rows[i], piv)]
+            live = [i for i in range(r, len(rows)) if rows[i][j]]
+        rows[r], rows[live[0]] = rows[live[0]], rows[r]
+        if rows[r][j] < 0:
+            rows[r] = [-x for x in rows[r]]
+        piv = rows[r]
+        for i in range(r):
+            q = rows[i][j] // piv[j]
+            if q:
+                rows[i] = [x - q * y for x, y in zip(rows[i], piv)]
+        r += 1
+    return rows[:r]
+
+
+def kernel_basis(m: IntMatrix) -> list[list[int]]:
+    """Basis of the integer kernel {x : m x = 0}, from the Hermite form of
+    [m; I].
+
+    Column j of m stacked on e_j spans the lattice of all (m x, x).  Its
+    Hermite rows whose first m.rows entries vanish have pivots past the m
+    block, and by the echelon shape they span exactly the vectors (0, x)
+    of the lattice, that is the kernel.
+    """
+    R, C = m.rows, m.cols
+    cols = [[m[i, j] for i in range(R)] + [int(k == j) for k in range(C)] for j in range(C)]
+    return [row[R:] for row in hermite_rows(cols, R + C) if not any(row[:R])]
+
+
+def laplacian_identity_holds(ident, g: Graph) -> bool:
+    """(L - shift I) L = -w I + j_coeff J, entry by entry, with the
+    Laplacian L of g built from its edge set as plain lists."""
+    n = g.n
+    lap = [[0] * n for _ in range(n)]
+    for u, v in g.edges:
+        lap[u][v] = lap[v][u] = -1
+        lap[u][u] += 1
+        lap[v][v] += 1
+    shifted = [[x - ident.shift * (i == j) for j, x in enumerate(row)] for i, row in enumerate(lap)]
+    return all(
+        sum(shifted[i][t] * lap[t][j] for t in range(n)) == ident.j_coeff - ident.w * (i == j)
+        for i in range(n)
+        for j in range(n)
+    )
 
 
 def random_int_matrix(rng, max_dim=8, lo=-20, hi=20) -> IntMatrix:

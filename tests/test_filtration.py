@@ -5,90 +5,134 @@ import pytest
 
 from critlab import (
     IntMatrix,
-    Lattice,
-    filtration_M,
-    filtration_N,
     hoffman_singleton_graph,
-    kernel_basis,
     laplacian_matrix,
     petersen_graph,
     elem_divisor_profile,
     verify_filtration_dims,
 )
 from critlab import exact, filtration
-from critlab.exact import _eliminate_mod, _rank_profile_mod_p, _rank_rows_mod_p
-from critlab.filtration import _level_generators
-from oracles import integer_snf, profile_from_snf, random_int_matrix
+from critlab.exact import _eliminate_mod, _rank_profile_mod_p
+from critlab.filtration import _checked_images
+from oracles import (
+    _gauss_rank_mod_p,
+    hermite_rows,
+    integer_snf,
+    matmul,
+    profile_from_snf,
+    random_int_matrix,
+)
+
+
+def _level_generators(m, p, b):
+    """Eliminate m once modulo p^b; return the generators of each level.
+
+    The returned function maps a level i <= b to generators of M_i (vectors
+    of length m.cols) and of N_i (length m.rows), as in the docstring of
+    ``critlab.filtration``: p^max(0, i - v_k) q_k for the pivot columns,
+    the other columns q_j, and their images divided by p^i.  It shares the
+    elimination kernel with the library, so it is a reference for the
+    level bookkeeping of ``verify_filtration_dims``, not for the kernel.
+    """
+    q = [[int(r == c) for r in range(m.cols)] for c in range(m.cols)]
+    exps = _eliminate_mod(m, p, b, q)
+    mq = _checked_images(m, p, exps, q, b)
+
+    def level(i):
+        assert 0 <= i <= b
+        pi = p**i
+        dom, img = [], []
+        for k, (qk, yk) in enumerate(zip(q, mq)):
+            s = p ** max(0, i - exps[k]) if k < len(exps) else 1
+            dom.append([s * x for x in qk])
+            img.append([s * x // pi for x in yk])
+        return dom, img
+
+    return level
+
+
+def _kernel_dim(m):
+    # the zero count of the integer Smith form, plus the columns past it
+    return m.cols - sum(1 for d in integer_snf(m) if d)
+
+
+def _within(inner, outer, n):
+    # the lattice spanned by inner lies in the one spanned by outer
+    return hermite_rows(outer + inner, n) == hermite_rows(outer, n)
 
 
 class TestFiltrationM:
+    """The level generators span the sublattice M_i of the vectors whose
+    images are divisible by p^i, and the report measures its rank mod p."""
+
     def test_diag_level_1_is_everything(self):
         m = IntMatrix.diagonal([5, 25, 0])
-        lat = filtration_M(m, 5, 1)
-        assert lat.rank == 3
-        assert lat.dim_mod(5) == 3
+        dom, _ = _level_generators(m, 5, 1)(1)
+        assert hermite_rows(dom, 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert verify_filtration_dims(m, 5).dims_M[1] == 3
 
     def test_diag_level_2(self):
         m = IntMatrix.diagonal([5, 25, 0])
-        lat = filtration_M(m, 5, 2)
-        assert [5, 0, 0] in lat
-        assert [0, 1, 0] in lat
-        assert [0, 0, 1] in lat
-        assert [1, 0, 0] not in lat
-        assert lat.dim_mod(5) == 2
+        dom, _ = _level_generators(m, 5, 2)(2)
+        # [5, 0, 0], [0, 1, 0] and [0, 0, 1] are inside, [1, 0, 0] is not
+        assert hermite_rows(dom, 3) == [[5, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert _gauss_rank_mod_p(dom, 5) == 2
+        assert verify_filtration_dims(m, 5).dims_M[2] == 2
 
     def test_identity_level_1_is_p_times_lattice(self):
-        lat = filtration_M(IntMatrix.identity(2), 5, 1)
-        assert [5, 0] in lat and [0, 5] in lat
-        assert [1, 0] not in lat
-        assert lat.dim_mod(5) == 0
+        m = IntMatrix.identity(2)
+        dom, _ = _level_generators(m, 5, 1)(1)
+        assert hermite_rows(dom, 2) == [[5, 0], [0, 5]]
+        assert verify_filtration_dims(m, 5).dims_M[1] == 0
 
     def test_level_0_is_full_lattice(self):
-        lat = filtration_M(IntMatrix.diagonal([2, 3]), 7, 0)
-        assert [1, 0] in lat and [0, 1] in lat
-
-    def test_negative_level_rejected(self):
-        m = IntMatrix.diagonal([5, 25, 0])
-        for chain in (filtration_M, filtration_N):
-            with pytest.raises(ValueError, match="nonnegative"):
-                chain(m, 5, -1)
+        dom, _ = _level_generators(IntMatrix.diagonal([2, 3]), 7, 0)(0)
+        assert hermite_rows(dom, 2) == [[1, 0], [0, 1]]
 
 
 class TestFiltrationN:
+    """The level images divided by p^i span N_i, and the report measures
+    its rank mod p."""
+
     def test_diag_level_1(self):
         m = IntMatrix.diagonal([5, 25, 0])
-        lat = filtration_N(m, 5, 1)
-        assert [1, 0, 0] in lat
-        assert [0, 5, 0] in lat
-        assert [0, 1, 0] not in lat
-        assert lat.dim_mod(5) == 1
+        _, img = _level_generators(m, 5, 1)(1)
+        # [1, 0, 0] and [0, 5, 0] are inside, [0, 1, 0] is not
+        assert hermite_rows(img, 3) == [[1, 0, 0], [0, 5, 0]]
+        assert _gauss_rank_mod_p(img, 5) == 1
+        assert verify_filtration_dims(m, 5).dims_N[1] == 1
 
     def test_diag_level_2(self):
         m = IntMatrix.diagonal([5, 25, 0])
-        lat = filtration_N(m, 5, 2)
-        assert [1, 0, 0] in lat and [0, 1, 0] in lat
-        assert lat.dim_mod(5) == 2
+        _, img = _level_generators(m, 5, 2)(2)
+        assert hermite_rows(img, 3) == [[1, 0, 0], [0, 1, 0]]
+        assert verify_filtration_dims(m, 5).dims_N[2] == 2
 
     def test_zero_matrix_gives_zero_lattice(self):
-        lat = filtration_N(IntMatrix.zeros(3, 3), 5, 2)
-        assert lat.rank == 0
+        m = IntMatrix.zeros(3, 3)
+        _, img = _level_generators(m, 5, 2)(2)
+        assert hermite_rows(img, 3) == []
+        assert set(verify_filtration_dims(m, 5).dims_N) == {0}
 
 
 class TestChains:
     def test_containments_random(self):
+        # descending on the domain side, ascending on the image side, as
+        # lattices and as the measured dimensions
         rng = random.Random(314)
         for _ in range(25):
             m = random_int_matrix(rng, max_dim=5, lo=-9, hi=9)
             for p in (2, 5):
-                prev_m = filtration_M(m, p, 0)
-                prev_n = filtration_N(m, p, 0)
+                level = _level_generators(m, p, 3)
+                prev_m, prev_n = level(0)
                 for i in (1, 2, 3):
-                    cur_m = filtration_M(m, p, i)
-                    cur_n = filtration_N(m, p, i)
-                    # descending on the domain side, ascending on the image side
-                    assert prev_m.contains_lattice(cur_m)
-                    assert cur_n.contains_lattice(prev_n)
+                    cur_m, cur_n = level(i)
+                    assert _within(cur_m, prev_m, m.cols)
+                    assert _within(prev_n, cur_n, m.rows)
                     prev_m, prev_n = cur_m, cur_n
+                rep = verify_filtration_dims(m, p)
+                assert list(rep.dims_M) == sorted(rep.dims_M, reverse=True)
+                assert list(rep.dims_N) == sorted(rep.dims_N)
 
     def test_image_chain_stabilizes_at_rank(self):
         rng = random.Random(2718)
@@ -97,7 +141,10 @@ class TestChains:
             factors = integer_snf(m)
             rank = sum(1 for d in factors if d)
             prof_val = sum(i * e for i, e in enumerate(profile_from_snf(factors, 2)[0]))
-            assert filtration_N(m, 2, prof_val + 1).rank == rank
+            _, img = _level_generators(m, 2, prof_val + 1)(prof_val + 1)
+            assert len(hermite_rows(img, m.rows)) == rank
+            # the saturated image keeps its rank mod p
+            assert verify_filtration_dims(m, 2).dims_N[-1] == rank
 
 
 class TestVerifyFiltrationDims:
@@ -119,7 +166,7 @@ class TestVerifyFiltrationDims:
                 # recompute the expected dimensions from the full integer
                 # Smith form, independently of the mod-p^B profile
                 mult, _ = profile_from_snf(factors, p)
-                kern = len(kernel_basis(m))
+                kern = _kernel_dim(m)
                 depth = rep.max_i
                 e = list(mult) + [0] * (depth + 2 - len(mult))
                 assert rep.kernel_dim == kern
@@ -167,31 +214,30 @@ def _agreement_matrices():
 
 
 class TestAgreementWithLatticeRoute:
-    """The measured dimensions against the echelon lattice of every level."""
+    """The measured dimensions against the generators of every level,
+    emitted tail included, ranked by Gaussian elimination on lists."""
 
     def test_random_matrices_every_level(self):
         deficient = 0
         for m in _agreement_matrices():
-            kern = len(kernel_basis(m))
+            kern = _kernel_dim(m)
             deficient += kern > max(0, m.cols - m.rows)
             for p in (2, 3, 5):
                 rep = verify_filtration_dims(m, p)
                 assert rep.passed
                 assert rep.kernel_dim == kern
+                level = _level_generators(m, p, rep.max_i)
                 for i in range(rep.max_i + 1):
-                    assert rep.dims_M[i] == filtration_M(m, p, i).dim_mod(p)
-                    assert rep.dims_N[i] == filtration_N(m, p, i).dim_mod(p)
+                    dom, img = level(i)
+                    assert rep.dims_M[i] == _gauss_rank_mod_p(dom, p)
+                    assert rep.dims_N[i] == _gauss_rank_mod_p(img, p)
         assert deficient >= 10
 
 
 class TestNoLatticeOnTheCheckPath:
-    """verify_filtration_dims needs no echelon lattice, not even for the kernel."""
+    """Pinned dimensions of HoSi and of a wide rank-deficient example."""
 
-    def test_passes_with_lattice_disabled(self, monkeypatch):
-        def refuse(self, vec):
-            raise AssertionError("Lattice.add_vector called")
-
-        monkeypatch.setattr(Lattice, "add_vector", refuse)
+    def test_passes_with_lattice_disabled(self):
         # third row = 2 * first + second: rank 2, kernel 3, invariant factors 1, 15
         wide = IntMatrix.from_rows(
             [[5, 10, 0, 15, 25], [3, 0, 9, 3, 15], [13, 20, 9, 33, 65]]
@@ -235,8 +281,8 @@ class TestRankProfileRoute:
         level = _level_generators(m, p, depth)
         for i in range(depth + 1):
             dom, img = level(i)
-            assert rep.dims_M[i] == _rank_rows_mod_p(dom, p)
-            assert rep.dims_N[i] == _rank_rows_mod_p(img, p)
+            assert rep.dims_M[i] == _rank_profile_mod_p(dom, p)[-1]
+            assert rep.dims_N[i] == _rank_profile_mod_p(img, p)[-1]
         assert rep.passed
         return depth
 
@@ -280,7 +326,6 @@ class TestRankProfileRoute:
             return _eliminate_mod(m, p, b, track)
 
         monkeypatch.setattr(exact, "_eliminate_mod", recorder)
-        monkeypatch.setattr(filtration, "_eliminate_mod", recorder)
         hosi = laplacian_matrix(hoffman_singleton_graph())
         reduced = IntMatrix.from_rows([row[1:] for row in hosi.to_rows()[1:]])
         x = 30**20  # a divisor p^20 at p = 2, 3, 5
@@ -317,8 +362,10 @@ class TestHoffmanSingleton:
         assert set(rep.dims_M[3:]) == {1}
         assert set(rep.dims_N[2:]) == {49}
         for i in (0, 1):
-            assert rep.dims_M[i] == filtration_M(lap, 5, i).dim_mod(5)
-            assert rep.dims_N[i] == filtration_N(lap, 5, i).dim_mod(5)
+            # each level from its own elimination modulo 5^i
+            dom, img = _level_generators(lap, 5, i)(i)
+            assert rep.dims_M[i] == _gauss_rank_mod_p(dom, 5)
+            assert rep.dims_N[i] == _gauss_rank_mod_p(img, 5)
 
 
 class TestFiltrationDepth:
@@ -352,7 +399,10 @@ class TestFiltrationDepth:
                 level = _level_generators(m, p, top)
                 for i in range(depth + 1, top + 1):
                     dom, img = level(i)
-                    measured = (_rank_rows_mod_p(dom, p), _rank_rows_mod_p(img, p))
+                    measured = (
+                        _rank_profile_mod_p(dom, p)[-1],
+                        _rank_profile_mod_p(img, p)[-1],
+                    )
                     assert (rep.dims_M[i], rep.dims_N[i]) == measured
                     tails += 1
         assert tails >= 150
@@ -382,5 +432,6 @@ def _matrices_with_p_divisors(p, count):
         d = [[0] * c for _ in range(r)]
         for t in range(rank):
             d[t][t] = p ** rng.choice((0, 1, 1, 2, 3)) * rng.choice((1, 2, 3, 4, 6, 7))
-        out.append(_unimodular(rng, r) @ IntMatrix.from_rows(d) @ _unimodular(rng, c))
+        ud = matmul(_unimodular(rng, r), IntMatrix.from_rows(d))
+        out.append(matmul(ud, _unimodular(rng, c)))
     return out

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from critlab import (
@@ -15,9 +17,41 @@ from critlab import (
     laplacian_matrix,
     moore_graph,
     parse_edge_list,
+    path_graph,
     petersen_graph,
     srg_spectrum,
 )
+from oracles import matmul
+
+
+def complement(g):
+    pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+    return Graph(g.n, [e for e in pairs if e not in g.edges])
+
+
+def srg_identity_holds(a2, a, k, lam, mu):
+    """A^2 = k I + lam A + mu (J - A - I), entry by entry, given A^2."""
+    n = a.rows
+    return all(
+        a2[i, j] == k * (i == j) + lam * a[i, j] + mu * (1 - a[i, j] - (i == j))
+        for i in range(n)
+        for j in range(n)
+    )
+
+
+@functools.cache
+def feasible_params(v):
+    # the counting identity k(k - lam - 1) = (v - k - 1) mu needs lam < k
+    # for k >= 1
+    out = []
+    for k in range(v):
+        for lam in range(max(k, 1)):
+            for mu in range(k + 1):
+                try:
+                    out.append(SrgParams(v, k, lam, mu))
+                except InfeasibleParametersError:
+                    pass
+    return out
 
 
 class TestGraphType:
@@ -98,10 +132,7 @@ class TestMooreGraphs:
         assert (g.n, g.m) == (50, 175)
         # A^2 = 7I + 0A + 1(J - A - I), checked by direct multiplication
         a = adjacency_matrix(g)
-        n = g.n
-        eye = IntMatrix.identity(n)
-        jay = IntMatrix.ones(n, n)
-        assert a @ a == 7 * eye + (jay - a - eye)
+        assert srg_identity_holds(matmul(a, a), a, 7, 0, 1)
 
     def test_unknown_valencies_rejected(self):
         with pytest.raises(ExistenceUnknownError):
@@ -118,8 +149,8 @@ class TestMooreGraphs:
     def test_girth_five(self, k):
         g = moore_graph(k)
         a = adjacency_matrix(g)
-        a2 = a @ a
-        a3 = a2 @ a
+        a2 = matmul(a, a)
+        a3 = matmul(a2, a)
         n = g.n
         assert all(a2[i, i] == k for i in range(n))  # no loops of length 2 beyond degree
         assert all(a3[i, i] == 0 for i in range(n))  # triangle-free
@@ -161,7 +192,7 @@ class TestMatrices:
     )
     def test_laplacian_symmetric_zero_row_sums(self, g):
         lap = laplacian_matrix(g)
-        assert lap.is_symmetric()
+        assert all(lap[i, j] == lap[j, i] for i in range(g.n) for j in range(i))
         assert all(sum(lap.row(i)) == 0 for i in range(g.n))
 
 
@@ -239,6 +270,39 @@ class TestCheckSrg:
     def test_wrong_graph_right_size_false(self):
         g = cycle_graph(10)
         assert not check_srg(g, SrgParams(10, 3, 0, 1))
+
+    def test_regular_graph_fails_a_pair(self):
+        # the pentagonal prism is 3-regular on 10 vertices, so it gets past
+        # the degree test: a pair's common-neighbour count rejects it
+        rims = [(i, (i + 1) % 5) for i in range(5)]
+        spokes = [(i, i + 5) for i in range(5)]
+        prism = Graph(10, rims + [(u + 5, v + 5) for u, v in rims] + spokes)
+        assert prism.degrees() == [3] * 10
+        assert not check_srg(prism, SrgParams(10, 3, 0, 1))
+
+    def test_petersen_complement(self):
+        # adjacent pairs share lam = 3 neighbours, non-adjacent ones mu = 4
+        assert check_srg(complement(petersen_graph()), SrgParams(10, 6, 3, 4))
+        assert not check_srg(complement(petersen_graph()), SrgParams(10, 3, 0, 1))
+
+    def test_agrees_with_the_matrix_product(self):
+        # every builtin graph and its complement, against every parameter
+        # set on its vertex count that SrgParams accepts
+        # (the Moore graphs are c5, petersen and hosi)
+        graphs = [petersen_graph(), hoffman_singleton_graph()]
+        graphs += [cycle_graph(n) for n in range(3, 13)]
+        graphs += [complete_graph(n) for n in range(1, 9)]
+        graphs += [path_graph(n) for n in range(1, 7)]
+        verdicts = []
+        for g in graphs + [complement(g) for g in graphs]:
+            a = adjacency_matrix(g)
+            a2 = matmul(a, a)
+            for params in feasible_params(g.n):
+                want = srg_identity_holds(a2, a, params.k, params.lam, params.mu)
+                assert check_srg(g, params) == want, (g, params)
+                verdicts.append(want)
+        assert verdicts.count(True) >= 60
+        assert verdicts.count(False) >= 800
 
 
 class TestEdgeListFormat:
