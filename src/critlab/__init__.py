@@ -6,7 +6,7 @@ and the strongly-regular constraint analysis that pins down the admissible
 critical groups of Moore-graph parameter sets.
 """
 
-from .arith import UnfactoredError, factorize, is_prime, prime_power_divisors, valuation, xgcd
+from .arith import UnfactoredError, factorize, is_prime, prime_power_divisors, valuation
 from .critical import (
     CriticalGroup,
     bicycle_dimension,
@@ -125,5 +125,4 @@ __all__ = [
     "stabilize",
     "valuation",
     "verify_filtration_dims",
-    "xgcd",
 ]

@@ -14,7 +14,7 @@ filtration takes exactly one prime, graph names, files and matrices must
 parse, and ``SrgParams`` decides whether a parameter set is feasible.
 
 Exit codes: 0 success, 1 usage or input errors, 2 infeasible-parameter or
-contradiction outcomes.
+contradiction outcomes, including a filtration report that does not pass.
 """
 
 from __future__ import annotations
@@ -244,7 +244,7 @@ def _cmd_filtration(args) -> int:
         f"kernel_dim: {rep.kernel_dim}\n"
     )
     _emit(args, report, text)
-    return 0
+    return 0 if rep.passed else 2
 
 
 def _cmd_sandpile(args) -> int:

@@ -25,9 +25,12 @@ every level i <= b:
 the certified loop behind ``elem_divisor_profile``
 (``exact._certified_exponents``), which runs modulo p^b for some b >
 max exponent, so one elimination gives both the profile and the levels.
-It reduces q modulo p^depth, with depth = max exponent + 1, which keeps
-the images small, and checks once per column that the images are
-divisible as these generators need.  Mod p the generators then nest:
+It reduces q modulo p^depth, with depth = max exponent + 1, forms the
+images modulo p^(depth + 1) from the columns of m packed into one int
+each, and checks once per column that they are divisible as these
+generators need.  That check and the rows (m q_k / p^v_k) mod p below
+read an image only modulo p^(v_k + 1), with v_k = depth for the non-pivot
+columns, so the residues are enough.  Mod p the generators then nest:
 M_i mod p is spanned by the non-pivot columns and the pivot columns with
 v_k >= i, N_i mod p by the images m q_k / p^v_k with v_k <= i (and, at
 depth, by the non-pivot images), and every other generator is 0 mod p.
@@ -49,6 +52,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import mul
 
 from .exact import _certified_exponents, _profile, _rank_profile_mod_p
 from .intmatrix import IntMatrix
@@ -57,18 +61,40 @@ from .intmatrix import IntMatrix
 def _checked_images(
     m: IntMatrix, p: int, exps: list[int], q: list[list[int]], b: int
 ) -> list[list[int]]:
-    """The images m q_k of the columns q_k that an elimination modulo p^b
-    with pivot exponents v_k tracked, each checked once.
+    """The images m q_k modulo P = p^(b + 1) of the columns q_k that an
+    elimination modulo p^b with pivot exponents v_k tracked, each checked once.
 
     m q_k is 0 mod p^v_k for a pivot column k and 0 mod p^b for the other
     columns.  That is the divisibility of every level's image generators by
-    p^i, for all i <= b at once.
+    p^i, for all i <= b at once.  The check reads m q_k modulo p^b, and a
+    row of the N chain, (m q_k / p^v_k) mod p (v_k < b, or b for the other
+    columns), reads it modulo p^(v_k + 1), so residues modulo P are enough.
+
+    Each column of m mod P is packed into one int, row i in the w-bit slot
+    i, and each image is one sum of m.cols int products, unpacked into
+    m.rows residues.  The tracked entries are below p^b (the identity's 0
+    and 1 at b = 0), so a slot sums at most
+    m.cols (P - 1) max(p^b - 1, 1); w is that bound's bit length, and no
+    slot carries into the next.
     """
-    mq = [m.mul_vector(qk) for qk in q]
-    for k, y in enumerate(mq):
+    P = p ** (b + 1)
+    w = (m.cols * (P - 1) * max(p**b - 1, 1)).bit_length()
+    cols = []
+    for col in zip(*m.to_rows()):
+        c = 0
+        for x in reversed(col):
+            c = c << w | x % P
+        cols.append(c)
+    mask = (1 << w) - 1
+    shifts = [i * w for i in range(m.rows)]
+    mq = []
+    for k, qk in enumerate(q):
+        packed = sum(map(mul, cols, qk))
+        y = [(packed >> s & mask) % P for s in shifts]
         pv = p ** (exps[k] if k < len(exps) else b)
         if any(x % pv for x in y):
             raise AssertionError("image not divisible by p^i; filtration bug")
+        mq.append(y)
     return mq
 
 
@@ -109,12 +135,14 @@ def verify_filtration_dims(m: IntMatrix, p: int) -> FiltrationReport:
     Levels 0 through depth = max exponent + 1 (``len(e)``) are measured.
     b >= depth, so q reduced modulo p^depth still gives generators of every
     level i <= depth (the identity stays as it is at depth 0, where no
-    pass found a pivot).  The divisibility check of their images, once per
-    column (``_checked_images``), is what makes the generators named below
-    0 mod p.  Mod p both chains nest, so each is one ordered list of rows
-    whose prefixes span the levels, and one rank profile
-    (``_rank_profile_mod_p``) gives every level's dimension as a prefix
-    rank:
+    pass found a pivot).  ``_checked_images`` forms their images modulo
+    p^(depth + 1) from packed columns of m, and its divisibility check,
+    once per column, is what makes the generators named below 0 mod p.
+    Every image is read modulo p^(v_k + 1) at most, v_k <= depth, so the
+    rows below are the same as from the exact images.  Mod p both chains
+    nest, so each is one ordered list of rows whose prefixes span the
+    levels, and one rank profile (``_rank_profile_mod_p``) gives every
+    level's dimension as a prefix rank:
 
     * M_i mod p is spanned by the non-pivot columns q_j and the pivot
       columns q_k with v_k >= i; every other generator is p times a vector.

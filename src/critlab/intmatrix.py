@@ -75,19 +75,6 @@ class IntMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    # -- arithmetic ----------------------------------------------------------
-
-    def mul_vector(self, vec) -> list[int]:
-        """Matrix-vector product as a list of ints."""
-        vec = list(vec)
-        if len(vec) != self.cols:
-            raise ValueError("vector length does not match column count")
-        c = self.cols
-        d = self._data
-        return [
-            sum(d[i * c + j] * vec[j] for j in range(c)) for i in range(self.rows)
-        ]
-
     # -- misc ----------------------------------------------------------------
 
     def __eq__(self, other) -> bool:

@@ -298,6 +298,19 @@ class TestFiltrationCommand:
             assert run_cli(capsys, argv) == (0, text, "")
             assert run_cli(capsys, argv + ["--format", "json"]) == (0, js, "")
 
+    def test_failed_identities_exit_2(self, capsys, monkeypatch):
+        # a rank profile that finds nothing breaks the M chain's identity;
+        # the report is still printed, with pass false
+        monkeypatch.setattr(
+            "critlab.filtration._rank_profile_mod_p", lambda rows, p: [0] * (len(rows) + 1)
+        )
+        argv = ["filtration", "--graph", "petersen", "--prime", "5"]
+        text = "p=5 pass=False\ndims_M: 0 0 0 0 0\ndims_N: 0 0 0 0 0\nkernel_dim: 1\n"
+        assert run_cli(capsys, argv) == (2, text, "")
+        code, out, err = run_cli(capsys, argv + ["--format", "json"])
+        assert (code, err) == (2, "")
+        assert json.loads(out)["pass"] is False
+
 
 class TestSandpileCommand:
     def test_k3(self, capsys):

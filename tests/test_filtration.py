@@ -33,10 +33,14 @@ def _level_generators(m, p, b):
     the other columns q_j, and their images divided by p^i.  It shares the
     elimination kernel with the library, so it is a reference for the
     level bookkeeping of ``verify_filtration_dims``, not for the kernel.
+    The images are exact over Z, from ``matmul``, since the Hermite-form
+    checks compare lattices; ``_checked_images``, which returns them only
+    modulo p^(b + 1), is called for its divisibility check alone.
     """
     q = [[int(r == c) for r in range(m.cols)] for c in range(m.cols)]
     exps = _eliminate_mod(m, p, b, q)
-    mq = _checked_images(m, p, exps, q, b)
+    _checked_images(m, p, exps, q, b)
+    mq = [[x for (x,) in matmul(m, IntMatrix(m.cols, 1, qk)).to_rows()] for qk in q]
 
     def level(i):
         assert 0 <= i <= b
@@ -435,3 +439,52 @@ def _matrices_with_p_divisors(p, count):
         ud = matmul(_unimodular(rng, r), IntMatrix.from_rows(d))
         out.append(matmul(ud, _unimodular(rng, c)))
     return out
+
+
+class TestCheckedImages:
+    """The packed images of ``_checked_images`` against exact products."""
+
+    @staticmethod
+    def _seeded_cases():
+        # square, wide and tall shapes, empty ones, all-zero rows and
+        # columns; entries up to 10^12 times p^0..p^2 give deep pivots too
+        rng = random.Random("packed-images")
+        shapes = [(5, 5), (3, 7), (7, 3), (0, 4), (4, 0), (1, 9), (9, 1), (6, 6)]
+        for k in range(400):
+            r, c = shapes[k % len(shapes)]
+            p = (2, 3, 5, 7, 11)[k % 5]
+            b = rng.randint(0, 4)
+            h = rng.choice((9, 10**12))
+            rows = [[p ** rng.randint(0, 2) * rng.randint(-h, h) for _ in range(c)] for _ in range(r)]
+            if r and k % 3 == 0:
+                rows[rng.randrange(r)] = [0] * c
+            if c and k % 4 == 0:
+                j = rng.randrange(c)
+                for row in rows:
+                    row[j] = 0
+            yield IntMatrix(r, c, [x for row in rows for x in row]), p, b
+
+    def test_seeded_tracked_eliminations_match_matmul(self):
+        deep = 0
+        for m, p, b in self._seeded_cases():
+            q = [[int(r == c) for r in range(m.cols)] for c in range(m.cols)]
+            exps = _eliminate_mod(m, p, b, q)
+            P = p ** (b + 1)
+            exact_images = [matmul(m, IntMatrix(m.cols, 1, qk)).to_rows() for qk in q]
+            assert _checked_images(m, p, exps, q, b) == [
+                [x % P for (x,) in y] for y in exact_images
+            ]
+            deep += any(exps)
+        assert deep >= 60
+
+    @pytest.mark.parametrize("p, b", [(2, 1), (2, 3), (3, 2), (5, 1), (7, 2), (11, 1)])
+    def test_every_slot_at_its_bound(self, p, b):
+        # m = -1 is P - 1 mod P, and C = p^b columns of p^b - 1 fill every
+        # slot to C (P - 1)(p^b - 1), the bound the slot width comes from;
+        # the image -C (p^b - 1) is 0 mod p^b, as a non-pivot column needs
+        C = p**b
+        q = [[p**b - 1] * C for _ in range(C)]
+        for R in (2, 3):
+            m = IntMatrix(R, C, [-1] * (R * C))
+            image = -C * (p**b - 1) % p ** (b + 1)
+            assert _checked_images(m, p, [], q, b) == [[image] * R] * C
