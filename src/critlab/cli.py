@@ -13,8 +13,9 @@ filtration), four integers for --params.  The commands check the rest:
 filtration takes exactly one prime, graph names, files and matrices must
 parse, and ``SrgParams`` decides whether a parameter set is feasible.
 
-Exit codes: 0 success, 1 usage or input errors, 2 infeasible-parameter or
-contradiction outcomes, including a filtration report that does not pass.
+Exit codes: 0 success, 1 usage or input errors (a graph whose existence is
+open, such as moore57, among them), 2 infeasible-parameter or contradiction
+outcomes, including a filtration report that does not pass.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .critical import bicycle_dimension, critical_group
 from .exact import elem_divisor_profile, snf
 from .filtration import verify_filtration_dims
 from .graphs import (
-    ExistenceUnknownError,
     Graph,
     InfeasibleParametersError,
     SrgParams,
@@ -376,7 +376,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
-    except (ContradictionError, InfeasibleParametersError, ExistenceUnknownError) as exc:
+    except (ContradictionError, InfeasibleParametersError) as exc:
         sys.stderr.write(f"critlab: {exc}\n")
         return 2
     except (ValueError, SizeGuardError, OSError) as exc:

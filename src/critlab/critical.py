@@ -20,8 +20,8 @@ int bitsets.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from math import prod
 
 from .arith import UnfactoredError, factorize, valuation
@@ -30,19 +30,17 @@ from .graphs import Graph, InfeasibleParametersError, SrgSpectrum
 from .intmatrix import IntMatrix
 
 
-@dataclass(frozen=True)
-class CriticalGroup:
+class CriticalGroup(namedtuple("CriticalGroup", "invariant_factors order free_rank")):
     """Invariant-factor presentation of the critical group.
 
     invariant_factors lists only the nontrivial factors (> 1), in ascending
     (divisibility) order; order is their product; free_rank is the number of
     zero invariant factors of the Laplacian, i.e. the number of connected
-    components.
+    components.  A named tuple, so it compares equal to the plain tuple of
+    its fields.
     """
 
-    invariant_factors: tuple[int, ...]
-    order: int
-    free_rank: int
+    __slots__ = ()
 
     def order_factored(self) -> dict[int, int]:
         """The order as {prime: exponent}, ascending.

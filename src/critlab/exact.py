@@ -43,8 +43,8 @@ profiles.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from math import gcd, lcm, prod
 
 from .arith import is_prime
@@ -54,23 +54,15 @@ from .intmatrix import IntMatrix
 _RHS_SEED = 2000
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(namedtuple("SnfResult", "invariant_factors")):
     """Diagonal of the Smith form.
 
     invariant_factors has length min(rows, cols): a nonnegative, divisibility
-    -chained prefix of nonzero entries followed by zeros.
+    -chained prefix of nonzero entries followed by zeros.  A named tuple, so
+    it compares equal to the plain tuple of its fields.
     """
 
-    invariant_factors: tuple[int, ...]
-
-    @property
-    def nonzero_factors(self) -> tuple[int, ...]:
-        return tuple(d for d in self.invariant_factors if d != 0)
-
-    @property
-    def zero_count(self) -> int:
-        return len(self.invariant_factors) - len(self.nonzero_factors)
+    __slots__ = ()
 
 
 def snf(m: IntMatrix) -> SnfResult:
@@ -382,18 +374,16 @@ def _rank_f2(rows: Iterable[int]) -> list[int]:
     return ranks
 
 
-@dataclass(frozen=True)
-class ElemDivisorProfile:
+class ElemDivisorProfile(namedtuple("ElemDivisorProfile", "p multiplicities kernel_rank")):
     """Multiplicities of p^i among the elementary divisors of a matrix.
 
     multiplicities[i] is the number of nonzero invariant factors whose p-part
     is exactly p^i (so multiplicities[0] counts the factors coprime to p);
-    kernel_rank counts the zero invariant factors.
+    kernel_rank counts the zero invariant factors.  A named tuple, so it
+    compares equal to the plain tuple of its fields.
     """
 
-    p: int
-    multiplicities: tuple[int, ...]
-    kernel_rank: int
+    __slots__ = ()
 
     def e(self, i: int) -> int:
         return self.multiplicities[i] if 0 <= i < len(self.multiplicities) else 0

@@ -51,7 +51,7 @@ profile.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul
 
 from .exact import _certified_exponents, _profile, _rank_profile_mod_p
@@ -98,15 +98,13 @@ def _checked_images(
     return mq
 
 
-@dataclass(frozen=True)
-class FiltrationReport:
-    """Measured reduction dimensions of both chains, with the pass verdict."""
+class FiltrationReport(namedtuple("FiltrationReport", "p dims_M dims_N kernel_dim passed")):
+    """Measured reduction dimensions of both chains, with the pass verdict.
 
-    p: int
-    dims_M: tuple[int, ...]
-    dims_N: tuple[int, ...]
-    kernel_dim: int
-    passed: bool
+    A named tuple, so it compares equal to the plain tuple of its fields.
+    """
+
+    __slots__ = ()
 
     @property
     def max_i(self) -> int:

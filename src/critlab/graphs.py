@@ -9,7 +9,7 @@ ints, conference-graph eigenvalues are stored as (a + b*sqrt(disc)) / 2.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from math import isqrt
 
 from .intmatrix import IntMatrix
@@ -247,44 +247,43 @@ def format_edge_list(g: Graph) -> str:
 # -- strongly regular parameters ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class SrgParams:
+class SrgParams(namedtuple("SrgParams", "v k lam mu")):
     """Parameter set (v, k, lam, mu) of a strongly regular graph.
 
     Adjacent pairs share lam common neighbors, non-adjacent pairs share mu.
-    Construction validates the counting identity
-    k*(k - lam - 1) = (v - k - 1)*mu.
+    Construction, ``_replace`` and ``_make`` validate the counting identity
+    k*(k - lam - 1) = (v - k - 1)*mu.  A named tuple, so it compares equal
+    to the plain tuple of its fields.
     """
 
-    v: int
-    k: int
-    lam: int
-    mu: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.v > self.k >= self.mu >= 0 and self.lam >= 0):
+    def __new__(cls, v, k, lam, mu):
+        self = super().__new__(cls, v, k, lam, mu)
+        if not (v > k >= mu >= 0 and lam >= 0):
             raise InfeasibleParametersError(
                 f"need v > k >= mu >= 0 and lam >= 0, got {self}"
             )
-        lhs = self.k * (self.k - self.lam - 1)
-        rhs = (self.v - self.k - 1) * self.mu
+        lhs = k * (k - lam - 1)
+        rhs = (v - k - 1) * mu
         if lhs != rhs:
             raise InfeasibleParametersError(
                 f"counting identity fails for {self}: k(k-lam-1)={lhs} "
                 f"but (v-k-1)mu={rhs}"
             )
+        return self
 
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.v, self.k, self.lam, self.mu)
+    # the inherited _make, which _replace calls, would skip the checks
+    _make = classmethod(lambda cls, it: cls(*it))
 
 
-@dataclass(frozen=True)
-class QuadraticNumber:
-    """Exact value (a + b*sqrt(disc)) / 2 with integer a, b and disc >= 0."""
+class QuadraticNumber(namedtuple("QuadraticNumber", "a b disc")):
+    """Exact value (a + b*sqrt(disc)) / 2 with integer a, b and disc >= 0.
 
-    a: int
-    b: int
-    disc: int
+    A named tuple, so it compares equal to the plain tuple of its fields.
+    """
+
+    __slots__ = ()
 
     @property
     def is_integral(self) -> bool:
@@ -306,19 +305,16 @@ class QuadraticNumber:
         return f"({self.a} {sign} {root})/2"
 
 
-@dataclass(frozen=True)
-class SrgSpectrum:
+class SrgSpectrum(namedtuple("SrgSpectrum", "k theta tau m_theta m_tau")):
     """Exact adjacency spectrum of a strongly regular parameter set.
 
     The valency k is an eigenvalue of multiplicity 1; theta and tau are the
-    restricted eigenvalues (theta > tau) with multiplicities m_theta, m_tau.
+    restricted eigenvalues (theta > tau, each a QuadraticNumber) with
+    multiplicities m_theta, m_tau.  A named tuple, so it compares equal to
+    the plain tuple of its fields.
     """
 
-    k: int
-    theta: QuadraticNumber
-    tau: QuadraticNumber
-    m_theta: int
-    m_tau: int
+    __slots__ = ()
 
     @property
     def v(self) -> int:
@@ -333,7 +329,7 @@ def srg_spectrum(params: SrgParams) -> SrgSpectrum:
     equations.  Raises InfeasibleParametersError when the multiplicities do
     not come out as nonnegative integers.
     """
-    v, k, lam, mu = params.as_tuple()
+    v, k, lam, mu = params
     a = lam - mu
     disc = a * a + 4 * (k - mu)
     theta = QuadraticNumber(a, 1, disc)
@@ -374,7 +370,7 @@ def check_srg(g: Graph, params: SrgParams) -> bool:
     Returns False (rather than raising) when the vertex count differs from
     params.v, so mismatched inputs read as "not that SRG".
     """
-    v, k, lam, mu = params.as_tuple()
+    v, k, lam, mu = params
     if g.n != v:
         return False
     nbrs = g.neighbors()

@@ -23,7 +23,7 @@ without a complementary pair of rank inequalities, raise ValueError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .arith import factorize, is_prime, prime_power_divisors, valuation
 from .critical import predicted_order_from_spectrum
@@ -39,13 +39,13 @@ class ContradictionError(Exception):
     """
 
 
-@dataclass(frozen=True)
-class LaplacianIdentity:
-    """Quadratic identity (L - shift*I) L = -w*I + j_coeff*J."""
+class LaplacianIdentity(namedtuple("LaplacianIdentity", "shift w j_coeff")):
+    """Quadratic identity (L - shift*I) L = -w*I + j_coeff*J.
 
-    shift: int
-    w: int
-    j_coeff: int
+    A named tuple, so it compares equal to the plain tuple of its fields.
+    """
+
+    __slots__ = ()
 
     @property
     def w_factored(self) -> dict[int, int]:
@@ -61,7 +61,7 @@ def derive_laplacian_identity(params: SrgParams) -> LaplacianIdentity:
     describes a disjoint union of complete graphs, a real graph that the
     analysis does not cover, so that is a ValueError, not an infeasibility.
     """
-    v, k, lam, mu = params.as_tuple()
+    v, k, lam, mu = params
     if mu < 1:
         raise ValueError(
             "the SRG analysis needs mu >= 1; mu = 0 is a disjoint union "
@@ -73,12 +73,13 @@ def derive_laplacian_identity(params: SrgParams) -> LaplacianIdentity:
     return LaplacianIdentity(shift=c, w=w, j_coeff=mu)
 
 
-@dataclass(frozen=True)
-class DivisorBound:
-    """Prime powers that can occur as elementary divisors (divisors of w)."""
+class DivisorBound(namedtuple("DivisorBound", "w allowed")):
+    """Prime powers that can occur as elementary divisors (divisors of w).
 
-    w: int
-    allowed: tuple[int, ...]
+    A named tuple, so it compares equal to the plain tuple of its fields.
+    """
+
+    __slots__ = ()
 
 
 def divisor_bound(identity: LaplacianIdentity) -> DivisorBound:
@@ -86,13 +87,13 @@ def divisor_bound(identity: LaplacianIdentity) -> DivisorBound:
     return DivisorBound(identity.w, tuple(prime_power_divisors(identity.w)))
 
 
-@dataclass(frozen=True)
-class AffineExpr:
-    """Integer affine expression const + coeff * var."""
+class AffineExpr(namedtuple("AffineExpr", "const coeff var", defaults=("t",))):
+    """Integer affine expression const + coeff * var, var "t" by default.
 
-    const: int
-    coeff: int
-    var: str = "t"
+    A named tuple, so it compares equal to the plain tuple of its fields.
+    """
+
+    __slots__ = ()
 
     def __call__(self, value: int) -> int:
         return self.const + self.coeff * value
@@ -114,21 +115,19 @@ class AffineExpr:
         return f"{c0} - {-c1}*{self.var}"
 
 
-@dataclass(frozen=True)
-class SolutionFamily:
+class SolutionFamily(
+    namedtuple("SolutionFamily", "case_label prime t_range exprs rank_exprs")
+):
     """One-parameter family of admissible multiplicity vectors.
 
     exprs[i] gives the multiplicity of q^i as a function of the free
     parameter t over the inclusive range t_range; rank_exprs rewrites the
     multiplicities for i >= 1 as functions of the q-rank e_0 (empty when
-    that rewrite is not integral).
+    that rewrite is not integral).  Both are tuples of AffineExpr.  A named
+    tuple, so it compares equal to the plain tuple of its fields.
     """
 
-    case_label: int
-    prime: int
-    t_range: tuple[int, int]
-    exprs: tuple[AffineExpr, ...]
-    rank_exprs: tuple[AffineExpr, ...]
+    __slots__ = ()
 
     def evaluate(self, t: int) -> tuple[int, ...]:
         if not (self.t_range[0] <= t <= self.t_range[1]):
@@ -424,7 +423,7 @@ def analyze(params: SrgParams, primes=()) -> dict:
         families[str(qq)] = [
             fam.to_json_dict() for fam in enumerate_families(params, qq)
         ]
-    v, k, lam, mu = params.as_tuple()
+    v, k, lam, mu = params
     return {
         "schema": 1,
         "params": {"v": v, "k": k, "lambda": lam, "mu": mu},

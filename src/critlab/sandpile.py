@@ -10,7 +10,7 @@ guarded to small graphs.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from random import Random
 
 from .arith import factorize, valuation
@@ -21,23 +21,28 @@ class SizeGuardError(ValueError):
     """Exhaustive enumeration would exceed the configured size guard."""
 
 
-@dataclass(frozen=True)
-class ChipConfig:
-    """Chip counts per vertex with a designated sink (its slot is kept 0)."""
+class ChipConfig(namedtuple("ChipConfig", "chips sink")):
+    """Chip counts per vertex with a designated sink (its slot is kept 0).
 
-    chips: tuple[int, ...]
-    sink: int
+    Construction, ``_replace`` and ``_make`` check the counts and the sink
+    and store the counts as a tuple of ints.  A named tuple, so it compares
+    equal to the plain tuple of its fields.
+    """
 
-    def __post_init__(self):
-        chips = list(map(operator.index, self.chips))
-        sink = operator.index(self.sink)
+    __slots__ = ()
+
+    def __new__(cls, chips, sink):
+        chips = list(map(operator.index, chips))
+        sink = operator.index(sink)
         if not (0 <= sink < len(chips)):
             raise ValueError(f"sink {sink} out of range")
         if any(c < 0 for i, c in enumerate(chips) if i != sink):
             raise ValueError("chip counts must be nonnegative")
         chips[sink] = 0
-        object.__setattr__(self, "chips", tuple(chips))
-        object.__setattr__(self, "sink", sink)
+        return super().__new__(cls, tuple(chips), sink)
+
+    # the inherited _make, which _replace calls, would skip the checks
+    _make = classmethod(lambda cls, it: cls(*it))
 
 
 def _graph_arrays(g: Graph, sink: int):
@@ -45,11 +50,7 @@ def _graph_arrays(g: Graph, sink: int):
         raise ValueError(f"sink {sink} out of range")
     if not g.is_connected():
         raise ValueError("sandpile dynamics here require a connected graph")
-    nbrs = g.neighbors()
-    degs = g.degrees()
-    if any(d == 0 for d in degs) and g.n > 1:
-        raise ValueError("isolated vertex")
-    return nbrs, degs
+    return g.neighbors(), g.degrees()
 
 
 _MAX_FIRINGS = 10_000_000

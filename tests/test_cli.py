@@ -74,6 +74,45 @@ def snf_pin_matrices():
 SNF_SHA256 = "24f4b8d41c0dc015d61ca82fcd9755d22aad78afa1976234411f35991a16ac06"
 
 
+def _unimodular(rng, n):
+    # a product of random elementary row operations on the identity
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        f = rng.choice((-2, -1, 1, 2))
+        rows[i] = [x + f * y for x, y in zip(rows[i], rows[j])]
+    return IntMatrix.from_rows(rows)
+
+
+def padic_pin_matrices():
+    """20 seeded U diag(p^a u) V with unimodular U and V, a prime p of 2, 3,
+    5 and 7 in turn, units u coprime to p and exponents a up to 5, at least
+    one of them 3 or more; some are wide or tall."""
+    rng = random.Random("padic-pin")
+    shapes = [(4, 4), (6, 6), (3, 5), (5, 3), (7, 7)]
+    out = []
+    for k in range(20):
+        p = (2, 3, 5, 7)[k % 4]
+        r, c = shapes[k % len(shapes)]
+        exps = [rng.randint(0, 5) for _ in range(min(r, c))]
+        exps[rng.randrange(len(exps))] = rng.randint(3, 5)
+        d = [[0] * c for _ in range(r)]
+        for t, a in enumerate(exps):
+            d[t][t] = p**a * rng.choice([u for u in range(1, 10) if u % p])
+        ud = matmul(_unimodular(rng, r), IntMatrix.from_rows(d))
+        out.append(matmul(ud, _unimodular(rng, c)))
+    return out
+
+
+# sha256 of the exit code and output of `critlab profile --prime 2 --prime 3
+# --prime 5 --prime 7` and of `critlab filtration --prime p`, p = 2, 3, 5, 7,
+# in text and JSON, on every builtin graph of SNF_PIN_GRAPHS, then every
+# matrix of snf_pin_matrices() and padic_pin_matrices() on stdin, recorded
+# from the implementation with one certified tracked elimination and packed
+# images
+PADIC_SHA256 = "6523943d63239eda09a4410ece600baf8672cb15c93f36b8b9f8f7077ce71780"
+
+
 class TestSnfCommand:
     def test_output_is_pinned(self, capsys, tmp_path):
         sources = [["--graph", name] for name in SNF_PIN_GRAPHS]
@@ -210,6 +249,23 @@ class TestCritgroupCommand:
 
 
 class TestProfileCommand:
+    def test_profile_and_filtration_output_is_pinned(self, capsys, monkeypatch):
+        # matrices go on stdin: the report echoes a --matrix path
+        sources = [(["--graph", name], None) for name in SNF_PIN_GRAPHS]
+        matrices = snf_pin_matrices() + padic_pin_matrices()
+        sources += [(["--matrix", "-"], format_matrix(m)) for m in matrices]
+        commands = [["profile", "--prime", "2", "--prime", "3", "--prime", "5", "--prime", "7"]]
+        commands += [["filtration", "--prime", str(p)] for p in (2, 3, 5, 7)]
+        digest = hashlib.sha256()
+        for src, stdin in sources:
+            for command in commands:
+                for fmt in ("text", "json"):
+                    if stdin is not None:
+                        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+                    code = main([*command, *src, "--format", fmt])
+                    digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+        assert digest.hexdigest() == PADIC_SHA256
+
     def test_multi_prime(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -401,6 +457,8 @@ USAGE_ERRORS = [
     (["moore", "analyze", "--params", "1,2,3"], "argument --params: expected four integers v,k,lambda,mu"),
     (["moore", "analyze", "--params", "a,b,c,d"], "argument --params: expected four integers v,k,lambda,mu"),
     (["moore", "analyze", "--prime", "5"], "the following arguments are required: --params"),
+    # an open existence question is an input error, not a contradiction
+    (["critgroup", "--graph", "moore57"], "error: existence of a Moore graph of valency 57 is an open problem"),
 ]
 
 

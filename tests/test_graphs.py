@@ -205,6 +205,20 @@ class TestSrgParams:
         with pytest.raises(InfeasibleParametersError):
             SrgParams(3, 5, 0, 1)
 
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: SrgParams(10, 3, 0, 1)._replace(k=4), "counting identity fails"),
+            (lambda: SrgParams(10, 3, 0, 1)._replace(v=3), "need v > k"),
+            (lambda: SrgParams._make((10, 3, 1, 1)), "counting identity fails"),
+            (lambda: SrgParams._make((3, 5, 0, 1)), "need v > k"),
+        ],
+        ids=["replace-k", "replace-v", "make-identity", "make-order"],
+    )
+    def test_replace_and_make_are_checked(self, build, message):
+        with pytest.raises(InfeasibleParametersError, match=message):
+            build()
+
     def test_moore57_spectrum(self):
         sp = srg_spectrum(SrgParams(3250, 57, 0, 1))
         assert sp.theta.to_int() == 7

@@ -311,7 +311,7 @@ UNSUPPORTED = """
 
 
 def case_key(params, q):
-    return "{},{},{},{}:{}".format(*params.as_tuple(), q)
+    return "{},{},{},{}:{}".format(*params, q)
 
 
 class TestSmallParameterSweep:
@@ -337,7 +337,7 @@ class TestSmallParameterSweep:
             if case_key(params, q) in UNSUPPORTED:
                 continue
             supported += 1
-            admissible = admissible_srg_vectors(*params.as_tuple(), q)
+            admissible = admissible_srg_vectors(*params, q)
             try:
                 fams = enumerate_families(params, q)
             except ContradictionError:

@@ -1,17 +1,73 @@
-"""The public names of the package, and the split between the library and
-the test oracles."""
+"""The public names of the package, its result records, what importing the
+command line loads, and the split between the library and the test
+oracles."""
 
 import ast
 import importlib
+import os
+import pickle
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
 import pytest
 
 import critlab
+from critlab import (
+    AffineExpr,
+    ChipConfig,
+    CriticalGroup,
+    DivisorBound,
+    ElemDivisorProfile,
+    FiltrationReport,
+    LaplacianIdentity,
+    QuadraticNumber,
+    SnfResult,
+    SolutionFamily,
+    SrgParams,
+    SrgSpectrum,
+)
 
+ROOT = Path(__file__).resolve().parent.parent
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
 ELIMINATION = ("critlab.exact", "critlab.filtration")
+
+# one instance of each result record, with its repr as recorded from the
+# frozen-dataclass implementation
+RECORDS = [
+    (SnfResult((1, 3, 0)), "SnfResult(invariant_factors=(1, 3, 0))"),
+    (
+        ElemDivisorProfile(5, (6, 3), 1),
+        "ElemDivisorProfile(p=5, multiplicities=(6, 3), kernel_rank=1)",
+    ),
+    (
+        FiltrationReport(5, (10, 4, 1), (6, 9, 9), 1, True),
+        "FiltrationReport(p=5, dims_M=(10, 4, 1), dims_N=(6, 9, 9), kernel_dim=1, passed=True)",
+    ),
+    (
+        CriticalGroup((2, 10, 10, 10), 2000, 1),
+        "CriticalGroup(invariant_factors=(2, 10, 10, 10), order=2000, free_rank=1)",
+    ),
+    (SrgParams(10, 3, 0, 1), "SrgParams(v=10, k=3, lam=0, mu=1)"),
+    (QuadraticNumber(-1, 1, 5), "QuadraticNumber(a=-1, b=1, disc=5)"),
+    (
+        SrgSpectrum(2, QuadraticNumber(-1, 1, 5), QuadraticNumber(-1, -1, 5), 2, 2),
+        "SrgSpectrum(k=2, theta=QuadraticNumber(a=-1, b=1, disc=5), "
+        "tau=QuadraticNumber(a=-1, b=-1, disc=5), m_theta=2, m_tau=2)",
+    ),
+    (LaplacianIdentity(7, 10, 1), "LaplacianIdentity(shift=7, w=10, j_coeff=1)"),
+    (DivisorBound(50, (2, 5, 25)), "DivisorBound(w=50, allowed=(2, 5, 25))"),
+    (AffineExpr(3, -1), "AffineExpr(const=3, coeff=-1, var='t')"),
+    (
+        SolutionFamily(1, 5, (0, 2), (AffineExpr(2, 1), AffineExpr(4, -2)), (AffineExpr(8, -2, "e0"),)),
+        "SolutionFamily(case_label=1, prime=5, t_range=(0, 2), "
+        "exprs=(AffineExpr(const=2, coeff=1, var='t'), AffineExpr(const=4, coeff=-2, var='t')), "
+        "rank_exprs=(AffineExpr(const=8, coeff=-2, var='e0'),))",
+    ),
+    (ChipConfig([9, True, 2], 0), "ChipConfig(chips=(0, 1, 2), sink=0)"),
+]
+RECORD_IDS = [type(record).__name__ for record, _ in RECORDS]
 
 
 class TestLibraryOracleSplit:
@@ -39,3 +95,45 @@ class TestLibraryOracleSplit:
                 obj = getattr(critlab, name)
                 origin = obj.__name__ if isinstance(obj, ModuleType) else obj.__module__
                 assert origin not in ELIMINATION, name
+
+
+class TestRecords:
+    """The result records are named tuples: printed as before, read-only,
+    picklable, and equal to the plain tuple of their fields."""
+
+    @pytest.mark.parametrize("record,text", RECORDS, ids=RECORD_IDS)
+    def test_repr_is_pinned(self, record, text):
+        assert repr(record) == text
+
+    @pytest.mark.parametrize("record,text", RECORDS, ids=RECORD_IDS)
+    def test_attributes_are_read_only(self, record, text):
+        name = record._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+
+    @pytest.mark.parametrize("record,text", RECORDS, ids=RECORD_IDS)
+    def test_pickle_round_trip(self, record, text):
+        back = pickle.loads(pickle.dumps(record))
+        assert type(back) is type(record)
+        assert repr(back) == text
+
+    @pytest.mark.parametrize("record,text", RECORDS, ids=RECORD_IDS)
+    def test_equal_to_the_tuple_of_its_fields(self, record, text):
+        assert record == tuple(getattr(record, name) for name in record._fields)
+
+
+class TestStartUp:
+    def test_cli_does_not_import_dataclasses(self):
+        # dataclasses pulls in inspect, ast and dis, a large part of the
+        # interpreter's start-up; -S keeps site-packages from importing it
+        code = "import sys, critlab.cli; print('dataclasses' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")

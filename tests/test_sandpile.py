@@ -64,6 +64,28 @@ class TestStabilize:
         assert c.chips == (0, 1, 2)
         assert [type(x) for x in c.chips] == [int, int, int]
 
+    @pytest.mark.parametrize(
+        "changes,error",
+        [
+            ({"chips": (0, -1, 2)}, ValueError),
+            ({"chips": (0, 1.5, 2)}, TypeError),
+            ({"sink": 3}, ValueError),
+            ({"sink": 1.0}, TypeError),
+        ],
+    )
+    def test_replace_and_make_are_checked(self, changes, error):
+        c = ChipConfig((0, 1, 2), sink=0)
+        with pytest.raises(error):
+            c._replace(**changes)
+        with pytest.raises(error):
+            ChipConfig._make({**c._asdict(), **changes}.values())
+
+    def test_replace_and_make_zero_the_sink_slot(self):
+        c = ChipConfig((0, 1, 2), sink=0)
+        assert c._replace(chips=(9, 1, 2)).chips == (0, 1, 2)
+        assert c._replace(sink=2).chips == (0, 1, 0)
+        assert ChipConfig._make(([9, True, 2], 0)) == ((0, 1, 2), 0)
+
     def test_abelian_property(self):
         # same stabilization no matter the firing order
         rng = random.Random(97)
