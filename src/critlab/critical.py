@@ -6,16 +6,18 @@ block has cokernel Z plus the cokernel of its reduced Laplacian (one vertex
 row and column deleted), whose determinant is the component's spanning-tree
 count.  So ``critical_group`` builds, from the adjacency lists, one
 nonsingular reduced Laplacian per component and takes its invariant factors
-from ``exact.snf``, which eliminates modulo a certified multiple of the
-exponent, found with the determinant, so its entries stay small; the
-factors of several components are merged into one divisibility chain.
-Eliminating each block on its own keeps one block's pivots out of the rows
-of the others.  Integer elimination of the full Laplacian (``integer_snf``
-in ``tests/oracles.py``) is the independent check.  The number of even
-invariant factors of a connected graph equals the dimension of the binary
-bicycle space, which is n minus the component count (1, or 0 for the empty
-graph) minus the rank of the Laplacian over F_2, taken on rows packed as
-int bitsets.
+from ``exact.snf``.  Its Bareiss pass gives the determinant and the orders
+of two group elements, whose lcm s divides the exponent.  If s equals the
+determinant, the group is cyclic and no Smith loop runs; otherwise the loop
+eliminates modulo s, or modulo the determinant when a product check fails,
+so its entries stay small.  The factors of several components are merged
+into one divisibility chain.  Eliminating each block on its own keeps one
+block's pivots out of the rows of the others.  Integer elimination of the
+full Laplacian (``integer_snf`` in ``tests/oracles.py``) is the independent
+check.  The number of even invariant factors of a connected graph equals
+the dimension of the binary bicycle space, which is n minus the component
+count (1, or 0 for the empty graph) minus the rank of the Laplacian over
+F_2, taken on rows packed as int bitsets.
 """
 
 from __future__ import annotations

@@ -7,13 +7,14 @@ groups alike.  After exact elimination on +-1 pivots
 fraction-free elimination: with full pivoting it gives the rank and a
 nonzero maximal-rank minor D, and for a square residual of full rank also
 the solutions det(a) a^-1 b for two fixed right-hand sides b, whose orders
-in the cokernel give a multiple s of its exponent.  ``_diagonal_mod`` is the
-one minimal-|pivot| Smith loop: it diagonalises modulo s when a
-product-equals-|D| check certifies s, and modulo |D| otherwise, so entries
-stay below the modulus and the coefficient growth of integer elimination
-never sets in.  ``determinant`` is the Bareiss pass without right-hand
-sides, and so is the exact rank that ``_certified_exponents`` needs for a
-rank-deficient input without zero row or column sums.
+in the cokernel have an lcm s that divides its exponent.  When s = |D| the
+cokernel is cyclic of order |D| and no Smith loop runs.  Otherwise
+``_diagonal_mod``, the one minimal-|pivot| Smith loop, diagonalises modulo s
+when a product-equals-|D| check certifies s, and modulo |D| otherwise, so
+entries stay below the modulus and the coefficient growth of integer
+elimination never sets in.  ``determinant`` is the Bareiss pass without
+right-hand sides, and so is the exact rank that ``_certified_exponents``
+needs for a rank-deficient input without zero row or column sums.
 
 The other routes are kept independent on purpose, as oracles that check
 ``snf`` and each other:
@@ -86,10 +87,12 @@ def snf(m: IntMatrix) -> SnfResult:
     |D| = |det r|, and the same pass solves for two fixed right-hand sides
     b: the class of b in T has order |D| / gcd(D, content(y)) for
     y = det(r) r^-1 b, and the lcm s of the two orders divides the exponent
-    of T.  The Smith loop then runs modulo s, usually far below |D|, and
-    presents T/sT; the product of its diagonal equals |D| = |T| exactly
-    when sT = 0, which certifies the result (Iliopoulos, SIAM J. Comput. 18,
-    1989).  Otherwise it is rerun modulo |D|.
+    of T, which divides |T| = |D|.  If s = |D|, some class has order |T|, so
+    T = Z/|D| and the chain is (1, ..., 1, |D|) without a Smith loop.
+    Otherwise the loop runs modulo s, usually far below |D|, and presents
+    T/sT; the product of its diagonal equals |D| = |T| exactly when sT = 0,
+    which certifies the result (Iliopoulos, SIAM J. Comput. 18, 1989).  If
+    not, it is rerun modulo |D|.
     """
     r = _unit_pivot_residual(m.to_rows())
     units = m.rows - len(r)
@@ -97,7 +100,8 @@ def snf(m: IntMatrix) -> SnfResult:
     rank, minor, ys = _bareiss(r, [[rng.randint(-9, 9) for _ in r] for _ in range(2)])
     d = abs(minor)
     s = lcm(*(d // gcd(d, *y) for y in ys)) if ys else d
-    diagonal = _diagonal_mod(r, s)
+    # an element of order s = |D| = |T| generates T
+    diagonal = [d] if ys and s == d else _diagonal_mod(r, s)
     if s != d and prod(diagonal) != d:
         diagonal = _diagonal_mod(r, d)
     chain = _divisibility_chain([x for x in diagonal if x > 1])

@@ -261,6 +261,24 @@ class TestCertifiedModulus:
         assert moduli == [exponent]
         assert cg.invariant_factors[-1] == exponent
 
+    def test_cyclic_and_noncyclic_graphs_against_snf(self, monkeypatch):
+        # most of these critical groups are cyclic, and a right-hand side of
+        # order |det| then proves it without a Smith-loop pass
+        moduli = []
+        real = exact._diagonal_mod
+        monkeypatch.setattr(exact, "_diagonal_mod", lambda a, s: moduli.append(s) or real(a, s))
+        rng = random.Random(2017)
+        seen = set()
+        for seed in range(60):
+            n = rng.randint(10, 30)
+            g = cycle_plus_chords(seed, n, rng.randint(n // 2, 2 * n))
+            moduli.clear()
+            cg = critical_group(g)
+            assert (cg.invariant_factors, cg.free_rank) == snf_critical_group(g)
+            seen.add((len(cg.invariant_factors) == 1, bool(moduli)))
+        assert (True, False) in seen
+        assert (False, True) in seen
+
     def test_paley_101_order_from_spectrum(self):
         predicted = predicted_order_from_spectrum(srg_spectrum(SrgParams(101, 50, 24, 25)), 101)
         assert critical_group(paley_graph(101)).order == prod(p**e for p, e in predicted.items())

@@ -282,6 +282,25 @@ class TestCertifiedModulus:
             assert expected == tuple(d for d in chain if d > 1)
             assert torsion(m) == expected
 
+    def test_cyclic_groups_skip_the_smith_loop(self, monkeypatch):
+        # A right-hand side of order s = |det| = |T| generates T, so no pass
+        # runs modulo |det| first: none runs at all, or one runs modulo a
+        # proper divisor s and the failed certificate reruns it modulo |det|.
+        moduli = record_moduli(monkeypatch)
+        rng = random.Random(2015)
+        passes = []
+        for d in (1, 101, 3**7, 2**5 * 3**2 * 7, 1000000007 * 998244353):
+            for n in range(1, 7):
+                moduli.clear()
+                m = disguised_diagonal(rng, (1,) * (n - 1) + (d,))
+                assert abs(determinant(m)) == d
+                assert torsion(m) == ((d,) if d > 1 else ())
+                if moduli:
+                    s = moduli[0]
+                    assert moduli == [s, d] and s < d and d % s == 0
+                passes.append(len(moduli))
+        assert 0 in passes
+
     def test_fallback_when_the_right_hand_sides_are_in_the_column_lattice(
         self, monkeypatch
     ):
