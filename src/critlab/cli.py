@@ -232,9 +232,9 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_filtration(args) -> int:
-    m, name = _load_matrix_or_graph(args)
     if len(args.prime) != 1:
         raise ValueError("filtration needs exactly one --prime")
+    m, name = _load_matrix_or_graph(args)
     rep = verify_filtration_dims(m, args.prime[0])
     report = {"schema": 1, "source": name, **rep.to_json_dict()}
     text = (

@@ -34,8 +34,8 @@ The other routes are kept independent on purpose, as oracles that check
 each row packed into one int: for p = 2 as a bitset for ``_rank_f2``, an
 XOR basis, and for odd p with one column per wide slot, reduced against a
 basis keyed by leading column.  ``_rank_f2`` is also the engine of the
-bicycle dimension, and the prefix ranks give every filtration level of one
-chain at once.  Gaussian elimination on lists (``_gauss_rank_mod_p`` in
+bicycle dimension, and the prefix ranks give every level of the filtration's
+image chain at once.  Gaussian elimination on lists (``_gauss_rank_mod_p`` in
 ``tests/oracles.py``) is the independent check of the kernel;
 ``rank_mod_p`` is in turn an oracle only for the e_0 entry of the
 profiles.

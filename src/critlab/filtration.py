@@ -25,16 +25,26 @@ every level i <= b:
 the certified loop behind ``elem_divisor_profile``
 (``exact._certified_exponents``), which runs modulo p^b for some b >
 max exponent, so one elimination gives both the profile and the levels.
-It reduces q modulo p^depth, with depth = max exponent + 1, forms the
-images modulo p^(depth + 1) from the columns of m packed into one int
-each, and checks once per column that they are divisible as these
-generators need.  That check and the rows (m q_k / p^v_k) mod p below
-read an image only modulo p^(v_k + 1), with v_k = depth for the non-pivot
-columns, so the residues are enough.  Mod p the generators then nest:
-M_i mod p is spanned by the non-pivot columns and the pivot columns with
-v_k >= i, N_i mod p by the images m q_k / p^v_k with v_k <= i (and, at
-depth, by the non-pivot images), and every other generator is 0 mod p.
-So each chain is one ordered list of rows, and one rank profile over F_p
+
+The domain chain is counted, not measured.  q is a column permutation of
+a unit upper-triangular matrix (``_eliminate_mod``), so its columns stay
+independent mod p, and p^(i - v_k) q_k is 0 mod p for v_k < i; so dim M_i
+is the column count minus #{v_k < i}, the first identity's right-hand
+side.  What
+that rests on, det q = +-1, is tested by
+``TestEliminateMod::test_tracked_columns_have_determinant_one`` and by the
+per-level generator ranks of ``TestAgreementWithLatticeRoute`` and
+``TestRankProfileRoute``.
+
+The image chain is measured.  q is reduced modulo p^depth, with depth =
+max exponent + 1, the images are formed modulo p^(depth + 1) from the
+columns of m packed into one int each, and one check per column makes
+them divisible as the generators need.  That check and the rows
+(m q_k / p^v_k) mod p read an image only modulo p^(v_k + 1), with
+v_k = depth for the non-pivot columns, so the residues are enough.  Mod p
+N_i is spanned by the images m q_k / p^v_k with v_k <= i (and, at depth,
+by the non-pivot images), and every other image is 0 mod p.  So the chain
+is one ordered list of rows, and one rank profile over F_p
 (``exact._rank_profile_mod_p``) gives the dimension of every level from 0
 through depth as the rank of a prefix, building no lattice.  Beyond depth
 both chains are provably constant, so the report repeats the level-depth
@@ -50,7 +60,7 @@ profile.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import namedtuple
 from operator import mul
 
@@ -99,7 +109,8 @@ def _checked_images(
 
 
 class FiltrationReport(namedtuple("FiltrationReport", "p dims_M dims_N kernel_dim passed")):
-    """Measured reduction dimensions of both chains, with the pass verdict.
+    """Reduction dimensions of both chains, the domain's counted and the
+    image's measured, with the pass verdict.
 
     A named tuple, so it compares equal to the plain tuple of its fields.
     """
@@ -121,41 +132,33 @@ class FiltrationReport(namedtuple("FiltrationReport", "p dims_M dims_N kernel_di
 
 
 def verify_filtration_dims(m: IntMatrix, p: int) -> FiltrationReport:
-    """Check both dimension identities at every level up to stabilization.
+    """Check the dimension identities at every level up to stabilization.
 
     One certified loop (``_certified_exponents``, the loop of
     ``elem_divisor_profile``, so it tries the same precisions) gives the
     pivot exponents and, from its last pass modulo p^b, the column
     transform q.  The expected dimensions come from the profile of those
-    exponents.  The measured ones are ranks mod p of the level generators;
-    the kernel's is m.cols minus the rank.
+    exponents; the kernel's is m.cols minus the rank.  dims_M is the count
+    kernel_dim + e_i + e_(i+1) + ..., which the module docstring derives
+    from det q = +-1, so ``passed`` compares the measured N chain alone.
 
     Levels 0 through depth = max exponent + 1 (``len(e)``) are measured.
     b >= depth, so q reduced modulo p^depth still gives generators of every
     level i <= depth (the identity stays as it is at depth 0, where no
     pass found a pivot).  ``_checked_images`` forms their images modulo
     p^(depth + 1) from packed columns of m, and its divisibility check,
-    once per column, is what makes the generators named below 0 mod p.
-    Every image is read modulo p^(v_k + 1) at most, v_k <= depth, so the
-    rows below are the same as from the exact images.  Mod p both chains
-    nest, so each is one ordered list of rows whose prefixes span the
-    levels, and one rank profile (``_rank_profile_mod_p``) gives every
-    level's dimension as a prefix rank:
+    once per column, is what makes the images named below 0 mod p.  Every
+    image is read modulo p^(v_k + 1) at most, v_k <= depth, so the rows
+    are the same as from the exact images.  N_i mod p is spanned by
+    m q_k / p^v_k for v_k <= i, and at i = depth also by m q_j / p^depth
+    for the non-pivot columns; every other image is 0 mod p.  So the rows
+    are the pivot images by ascending v_k, then the non-pivot ones, and one
+    rank profile (``_rank_profile_mod_p``) gives every level's dimension as
+    a prefix rank.
 
-    * M_i mod p is spanned by the non-pivot columns q_j and the pivot
-      columns q_k with v_k >= i; every other generator is p times a vector.
-      The rows are the non-pivot columns, then the pivot columns by
-      descending v_k.
-    * N_i mod p is spanned by m q_k / p^v_k for v_k <= i, and at i = depth
-      also by m q_j / p^depth for the non-pivot columns; every other image
-      is 0 mod p.  The rows are the pivot images by ascending v_k, then the
-      non-pivot ones.
-
-    Past the largest exponent both chains are constant: every pivot
-    generator p^(i - v_k) q_k of M_i is 0 mod p, so M_i mod p is spanned by
-    the other columns of the unimodular q, and N_i is the saturation of the
-    image.  The report then repeats level depth, without measuring it, up
-    to level 1 + v_p(product of invariant factors).
+    Past the largest exponent N_i is the saturation of the image, so the
+    report repeats level depth, without measuring it, up to level
+    1 + v_p(product of invariant factors).
     """
     q: list[list[int]] = []
     exps = _certified_exponents(m, p, q)
@@ -171,21 +174,16 @@ def verify_filtration_dims(m: IntMatrix, p: int) -> FiltrationReport:
     mq = _checked_images(m, p, exps, q, depth)
     C, r = m.cols, len(exps)
     order = sorted(range(r), key=exps.__getitem__)
-    ranks_m = _rank_profile_mod_p(q[r:] + [q[k] for k in reversed(order)], p)
     scale = [p**v for v in exps] + [p**depth] * (C - r)
     ranks_n = _rank_profile_mod_p(
         [[x // scale[k] for x in mq[k]] for k in order + list(range(r, C))], p
     )
-    # prefix lengths: M_i leaves out the pivot columns with v_k < i, N_i
-    # takes the pivot images with v_k <= i, and every row at depth
+    # prefix lengths: N_i takes the pivot images with v_k <= i, and every
+    # row at depth
     vs = sorted(exps)
-    dims = [
-        (ranks_m[C - bisect_left(vs, i)], ranks_n[bisect_right(vs, i) if i < depth else C])
-        for i in range(depth + 1)
-    ]
-    dims_m, dims_n = zip(*(dims + dims[-1:] * (top - depth)))
+    dims = [ranks_n[bisect_right(vs, i) if i < depth else C] for i in range(depth + 1)]
+    dims_n = tuple(dims + dims[-1:] * (top - depth))
     levels = range(top + 1)
-    expect_m = tuple(kernel_dim + sum(e[i:]) for i in levels)
+    dims_m = tuple(kernel_dim + sum(e[i:]) for i in levels)
     expect_n = tuple(sum(e[: i + 1]) for i in levels)
-    passed = dims_m == expect_m and dims_n == expect_n
-    return FiltrationReport(p, dims_m, dims_n, kernel_dim, passed)
+    return FiltrationReport(p, dims_m, dims_n, kernel_dim, dims_n == expect_n)

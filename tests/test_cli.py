@@ -355,13 +355,13 @@ class TestFiltrationCommand:
             assert run_cli(capsys, argv + ["--format", "json"]) == (0, js, "")
 
     def test_failed_identities_exit_2(self, capsys, monkeypatch):
-        # a rank profile that finds nothing breaks the M chain's identity;
-        # the report is still printed, with pass false
+        # a rank profile that finds nothing breaks the N chain's identity;
+        # the report is still printed, with pass false and the counted M chain
         monkeypatch.setattr(
             "critlab.filtration._rank_profile_mod_p", lambda rows, p: [0] * (len(rows) + 1)
         )
         argv = ["filtration", "--graph", "petersen", "--prime", "5"]
-        text = "p=5 pass=False\ndims_M: 0 0 0 0 0\ndims_N: 0 0 0 0 0\nkernel_dim: 1\n"
+        text = "p=5 pass=False\ndims_M: 10 4 1 1 1\ndims_N: 0 0 0 0 0\nkernel_dim: 1\n"
         assert run_cli(capsys, argv) == (2, text, "")
         code, out, err = run_cli(capsys, argv + ["--format", "json"])
         assert (code, err) == (2, "")
@@ -459,6 +459,8 @@ USAGE_ERRORS = [
     (["moore", "analyze", "--prime", "5"], "the following arguments are required: --params"),
     # an open existence question is an input error, not a contradiction
     (["critgroup", "--graph", "moore57"], "error: existence of a Moore graph of valency 57 is an open problem"),
+    # checked before the source is loaded
+    (["filtration", "--matrix", "", "--prime", "2", "--prime", "3"], "filtration needs exactly one --prime"),
 ]
 
 

@@ -28,7 +28,7 @@ from critlab import (
 )
 from critlab import exact
 from critlab.cli import main as cli_main
-from oracles import brute_force_spanning_trees, f2_bicycle_dimension, integer_snf
+from oracles import _det_bareiss, brute_force_spanning_trees, f2_bicycle_dimension, integer_snf
 
 
 def prism_graph():
@@ -207,6 +207,9 @@ class TestCriticalGroup:
         assert cg.order == spanning_tree_count(g)
         assert cg.free_rank == 1
         lap = laplacian_matrix(g)
+        # spanning_tree_count shares _bareiss with critical_group; the
+        # oracles' determinant shares no code with either
+        assert cg.order == _det_bareiss([row[1:] for row in lap.to_rows()[1:]])
         for p in (2, 3, 5, 7):
             exps = [valuation(d, p) for d in factors]
             expected = [0] * (max(exps, default=0) + 1)

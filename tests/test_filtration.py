@@ -12,6 +12,7 @@ from critlab import (
     verify_filtration_dims,
 )
 from critlab import exact, filtration
+from critlab.cli import main as cli_main
 from critlab.exact import _eliminate_mod, _rank_profile_mod_p
 from critlab.filtration import _checked_images
 from oracles import (
@@ -320,6 +321,25 @@ class TestRankProfileRoute:
         with pytest.raises(AssertionError, match="not divisible"):
             verify_filtration_dims(lap, 5)
 
+    def test_scaled_tracked_column_fails_the_image_chain(self, monkeypatch, capsys):
+        # p q_0 keeps every image divisible, so only the N chain can see it:
+        # the row (p m q_0 / p^v_0) mod p is 0, and N loses a dimension
+        def scaling(m, p, b, track=None):
+            exps = _eliminate_mod(m, p, b, track)
+            if track is not None and exps:
+                track[0] = [p * x for x in track[0]]
+            return exps
+
+        monkeypatch.setattr(exact, "_eliminate_mod", scaling)
+        rep = verify_filtration_dims(laplacian_matrix(hoffman_singleton_graph()), 5)
+        assert not rep.passed
+        assert rep.dims_N[:4] == (20, 29, 48, 49)
+        petersen = laplacian_matrix(petersen_graph())
+        for p in (2, 5):
+            assert not verify_filtration_dims(petersen, p).passed
+        assert cli_main(["filtration", "--graph", "hosi", "--prime", "5"]) == 2
+        assert capsys.readouterr().out.startswith("p=5 pass=False\n")
+
     def test_one_certified_loop_for_profile_and_levels(self, monkeypatch):
         # verify_filtration_dims makes the passes of elem_divisor_profile,
         # each with a tracker, and no other elimination
@@ -384,8 +404,9 @@ class TestFiltrationDepth:
 
         monkeypatch.setattr(filtration, "_rank_profile_mod_p", counting)
         rep = verify_filtration_dims(laplacian_matrix(hoffman_singleton_graph()), 5)
-        # one rank profile per chain, of one row per column, for levels 0..3
-        assert calls == [50, 50]
+        # one rank profile, of the N chain, with one row per column, for
+        # levels 0..3; the M chain is counted
+        assert calls == [50]
         assert rep.passed
         assert rep.dims_M == (50, 29, 20) + (1,) * 46
         assert rep.dims_N == (21, 30) + (49,) * 47
