@@ -12,16 +12,8 @@ from .critical import (
     bicycle_dimension,
     critical_group,
     predicted_order_from_spectrum,
-    spanning_tree_count,
 )
-from .exact import (
-    ElemDivisorProfile,
-    SnfResult,
-    determinant,
-    elem_divisor_profile,
-    rank_mod_p,
-    snf,
-)
+from .exact import ElemDivisorProfile, SnfResult, elem_divisor_profile, rank_mod_p, snf
 from .filtration import FiltrationReport, verify_filtration_dims
 from .graphs import (
     ExistenceUnknownError,
@@ -30,11 +22,9 @@ from .graphs import (
     QuadraticNumber,
     SrgParams,
     SrgSpectrum,
-    adjacency_matrix,
     check_srg,
     complete_graph,
     cycle_graph,
-    format_edge_list,
     hoffman_singleton_graph,
     laplacian_matrix,
     moore_graph,
@@ -43,7 +33,7 @@ from .graphs import (
     petersen_graph,
     srg_spectrum,
 )
-from .intmatrix import IntMatrix, format_matrix, parse_matrix
+from .intmatrix import IntMatrix, parse_matrix
 from .moore import (
     AffineExpr,
     ContradictionError,
@@ -55,22 +45,13 @@ from .moore import (
     divisor_bound,
     enumerate_families,
     family_membership,
-    forced_multiplicities,
 )
-from .sandpile import (
-    ChipConfig,
-    SizeGuardError,
-    is_recurrent,
-    recurrent_count,
-    sandpile_group_structure,
-    stabilize,
-)
+from .sandpile import SizeGuardError, recurrent_count, sandpile_group_structure
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AffineExpr",
-    "ChipConfig",
     "ContradictionError",
     "CriticalGroup",
     "DivisorBound",
@@ -88,7 +69,6 @@ __all__ = [
     "SrgParams",
     "SrgSpectrum",
     "UnfactoredError",
-    "adjacency_matrix",
     "analyze",
     "bicycle_dimension",
     "check_srg",
@@ -96,18 +76,13 @@ __all__ = [
     "critical_group",
     "cycle_graph",
     "derive_laplacian_identity",
-    "determinant",
     "divisor_bound",
     "elem_divisor_profile",
     "enumerate_families",
     "factorize",
     "family_membership",
-    "forced_multiplicities",
-    "format_edge_list",
-    "format_matrix",
     "hoffman_singleton_graph",
     "is_prime",
-    "is_recurrent",
     "laplacian_matrix",
     "moore_graph",
     "parse_edge_list",
@@ -120,9 +95,7 @@ __all__ = [
     "recurrent_count",
     "sandpile_group_structure",
     "snf",
-    "spanning_tree_count",
     "srg_spectrum",
-    "stabilize",
     "valuation",
     "verify_filtration_dims",
 ]

@@ -4,9 +4,10 @@ The critical group is the torsion part of the cokernel of the Laplacian.
 The Laplacian is block-diagonal over the connected components, and each
 block has cokernel Z plus the cokernel of its reduced Laplacian (one vertex
 row and column deleted), whose determinant is the component's spanning-tree
-count.  So ``critical_group`` builds, from the adjacency lists, one
-nonsingular reduced Laplacian per component and takes its invariant factors
-from ``exact.snf``.  Its Bareiss pass gives the determinant and the orders
+count; a connected graph's group order is that count.  So
+``critical_group`` builds, from the adjacency lists, one nonsingular
+reduced Laplacian per component and takes its invariant factors from
+``exact.snf``.  Its Bareiss pass gives the determinant and the orders
 of two group elements, whose lcm s divides the exponent.  If s equals the
 determinant, the group is cyclic and no Smith loop runs; otherwise the loop
 eliminates modulo s, or modulo the determinant when a product check fails,
@@ -27,7 +28,7 @@ from collections.abc import Sequence
 from math import prod
 
 from .arith import UnfactoredError, factorize, valuation
-from .exact import _divisibility_chain, _rank_f2, determinant, snf
+from .exact import _divisibility_chain, _rank_f2, snf
 from .graphs import Graph, InfeasibleParametersError, SrgSpectrum
 from .intmatrix import IntMatrix
 
@@ -93,17 +94,6 @@ def critical_group(g: Graph) -> CriticalGroup:
     else:
         factors = _divisibility_chain([d for chain in chains for d in chain if d > 1])
     return CriticalGroup(factors, prod(factors), len(components))
-
-
-def spanning_tree_count(g: Graph) -> int:
-    """Number of spanning trees, as the reduced-Laplacian determinant.
-
-    Deleting row and column 0 of the Laplacian and taking the determinant
-    needs no eigenvalues and returns 0 for disconnected graphs.
-    """
-    if g.n == 0:
-        raise ValueError("empty graph has no spanning tree count")
-    return determinant(_reduced_laplacian(g.neighbors(), range(1, g.n)))
 
 
 def bicycle_dimension(g: Graph) -> int:

@@ -1,5 +1,5 @@
-"""Exact integer matrix kernel: Smith normal form, determinants, ranks over
-prime fields, and per-prime elementary-divisor profiles.
+"""Exact integer matrix kernel: Smith normal form, ranks over prime fields,
+and per-prime elementary-divisor profiles.
 
 ``snf`` is the one Smith-form routine, for ``critlab snf`` and for critical
 groups alike.  After exact elimination on +-1 pivots
@@ -12,9 +12,9 @@ cokernel is cyclic of order |D| and no Smith loop runs.  Otherwise
 ``_diagonal_mod``, the one minimal-|pivot| Smith loop, diagonalises modulo s
 when a product-equals-|D| check certifies s, and modulo |D| otherwise, so
 entries stay below the modulus and the coefficient growth of integer
-elimination never sets in.  ``determinant`` is the Bareiss pass without
-right-hand sides, and so is the exact rank that ``_certified_exponents``
-needs for a rank-deficient input without zero row or column sums.
+elimination never sets in.  The same pass without right-hand sides gives
+the exact rank that ``_certified_exponents`` needs for a rank-deficient
+input without zero row or column sums.
 
 The other routes are kept independent on purpose, as oracles that check
 ``snf`` and each other:
@@ -108,14 +108,6 @@ def snf(m: IntMatrix) -> SnfResult:
     chain = (1,) * (len(r) - len(chain)) + chain
     zeros = min(m.rows, m.cols) - units - rank
     return SnfResult((1,) * units + chain[:rank] + (0,) * zeros)
-
-
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if not m.is_square:
-        raise ValueError("determinant needs a square matrix")
-    rank, minor, _ = _bareiss(m.to_rows(), ())
-    return minor if rank == m.rows else 0
 
 
 def _bareiss(

@@ -184,15 +184,6 @@ def moore_graph(k: int) -> Graph:
 # -- matrices ----------------------------------------------------------------
 
 
-def adjacency_matrix(g: Graph) -> IntMatrix:
-    n = g.n
-    data = [0] * (n * n)
-    for u, v in g.edges:
-        data[u * n + v] = 1
-        data[v * n + u] = 1
-    return IntMatrix(n, n, data)
-
-
 def laplacian_matrix(g: Graph) -> IntMatrix:
     """Degree matrix minus adjacency matrix; rows sum to zero."""
     n = g.n
@@ -235,13 +226,6 @@ def parse_edge_list(text: str) -> Graph:
     if g.m != m:
         raise ValueError("duplicate edges in input")
     return g
-
-
-def format_edge_list(g: Graph) -> str:
-    lines = [f"{g.n} {g.m}"]
-    for u, v in sorted(g.edges):
-        lines.append(f"{u} {v}")
-    return "\n".join(lines) + "\n"
 
 
 # -- strongly regular parameters ----------------------------------------------

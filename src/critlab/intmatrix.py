@@ -71,10 +71,6 @@ class IntMatrix:
         c = self.cols
         return [list(self._data[i * c : (i + 1) * c]) for i in range(self.rows)]
 
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
     # -- misc ----------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -116,10 +112,3 @@ def parse_matrix(text: str) -> IntMatrix:
     except ValueError as exc:
         raise ValueError("matrix entries must be integers") from exc
     return IntMatrix(rows, cols, data)
-
-
-def format_matrix(m: IntMatrix) -> str:
-    lines = [f"{m.rows} {m.cols}"]
-    for i in range(m.rows):
-        lines.append(" ".join(str(x) for x in m.row(i)))
-    return "\n".join(lines) + "\n"

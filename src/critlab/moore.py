@@ -367,27 +367,6 @@ def enumerate_families(params: SrgParams, q: int) -> list[SolutionFamily]:
     return fams
 
 
-def forced_multiplicities(params: SrgParams, q: int):
-    """Multiplicity forced for q, or the families when q^2 divides w.
-
-    When the divisor bound allows q only to the first power, every q-part
-    elementary divisor is q itself, so the multiplicity equals the
-    q-valuation of the group order.  Returns 0 when q does not divide the
-    order at all.  Otherwise ``enumerate_families`` decides, which raises
-    ContradictionError when q divides the order but not w.
-    """
-    if not is_prime(q):
-        raise ValueError(f"{q} is not prime")
-    ident = derive_laplacian_identity(params)
-    order = predicted_order_from_spectrum(srg_spectrum(params), params.v)
-    val = order.get(q, 0)
-    if val == 0:
-        return 0
-    if valuation(ident.w, q) == 1:
-        return val
-    return enumerate_families(params, q)
-
-
 def family_membership(profile, families) -> tuple[int, int] | None:
     """Which family (case label, parameter value) a measured profile fits.
 

@@ -13,7 +13,9 @@ definition (``matmul``), lattice bases in Hermite normal form
 (``hermite_rows``) and integer kernels from the Hermite form of [m; I]
 (``kernel_basis``), the Laplacian identity of an SRG entrywise on plain
 lists (``laplacian_identity_holds``), and primality and factorization by
-plain trial division.  The trial-division pair is the independent
+plain trial division.  The adjacency matrix (``adjacency_matrix``) and the
+edge-list and matrix text writers (``format_edge_list``, ``format_matrix``),
+which only tests call, build inputs for the library and the command.  The trial-division pair is the independent
 reference for the library's Miller-Rabin ``is_prime`` and Pollard-Brent
 rho ``factorize``; it is exact but slow beyond about 2^40.
 """
@@ -76,6 +78,31 @@ def f2_bicycle_dimension(g: Graph) -> int:
             bicycles += 1
     assert bicycles & (bicycles - 1) == 0
     return bicycles.bit_length() - 1
+
+
+def adjacency_matrix(g: Graph) -> IntMatrix:
+    n = g.n
+    data = [0] * (n * n)
+    for u, v in g.edges:
+        data[u * n + v] = 1
+        data[v * n + u] = 1
+    return IntMatrix(n, n, data)
+
+
+def format_edge_list(g: Graph) -> str:
+    """The edge-list text that ``critlab.parse_edge_list`` reads."""
+    lines = [f"{g.n} {g.m}"]
+    for u, v in sorted(g.edges):
+        lines.append(f"{u} {v}")
+    return "\n".join(lines) + "\n"
+
+
+def format_matrix(m: IntMatrix) -> str:
+    """The matrix text that ``critlab.parse_matrix`` reads."""
+    lines = [f"{m.rows} {m.cols}"]
+    for i in range(m.rows):
+        lines.append(" ".join(str(x) for x in m.row(i)))
+    return "\n".join(lines) + "\n"
 
 
 def _det_bareiss(rows) -> int:

@@ -10,6 +10,7 @@ import time
 
 from critlab import (
     SrgParams,
+    analyze,
     bicycle_dimension,
     check_srg,
     critical_group,
@@ -17,7 +18,6 @@ from critlab import (
     elem_divisor_profile,
     enumerate_families,
     family_membership,
-    forced_multiplicities,
     hoffman_singleton_graph,
     laplacian_matrix,
     moore_graph,
@@ -25,12 +25,12 @@ from critlab import (
     recurrent_count,
     sandpile_group_structure,
     snf,
-    spanning_tree_count,
     srg_spectrum,
     verify_filtration_dims,
 )
 from critlab.cli import main as cli_main
 from oracles import (
+    brute_force_spanning_trees,
     f2_bicycle_dimension,
     integer_snf,
     laplacian_identity_holds,
@@ -136,9 +136,9 @@ def test_criterion_4_moore_cross_validation(capsys):
     for k, want in expected.items():
         g = moore_graph(k)
         cg = critical_group(g)
-        # spanning_tree_count shares _bareiss with critical_group; the
-        # independent anchors are recurrent_count and the expected numbers
-        trees = spanning_tree_count(g)
+        # the subset count, recurrent_count and the expected numbers share
+        # no code with critical_group
+        trees = brute_force_spanning_trees(g)
         recurrents = recurrent_count(g)
         structure = sandpile_group_structure(g)
         if not (cg.order == trees == recurrents == want):
@@ -217,7 +217,7 @@ def test_criterion_7_bicycles(capsys):
     ok = ok and bicycle_dimension(pg) == f2_bicycle_dimension(pg) == 4
     # the even invariant factors of the hypothetical valency-57 graph are
     # exactly the forced prime-2 multiplicity
-    ok = ok and forced_multiplicities(MOORE57, 2) == 1728
+    ok = ok and analyze(MOORE57)["forced"]["2"] == 1728
     elapsed = time.monotonic() - start
     with capsys.disabled():
         _report(

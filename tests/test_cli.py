@@ -12,9 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from critlab import Graph, IntMatrix, format_edge_list, format_matrix
+from critlab import Graph, IntMatrix
 from critlab.cli import build_parser, main
-from oracles import matmul
+from oracles import format_edge_list, format_matrix, matmul
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"

@@ -16,19 +16,23 @@ from critlab import (
     cycle_graph,
     elem_divisor_profile,
     factorize,
-    format_edge_list,
     hoffman_singleton_graph,
     laplacian_matrix,
     path_graph,
     petersen_graph,
     predicted_order_from_spectrum,
-    spanning_tree_count,
     srg_spectrum,
     valuation,
 )
 from critlab import exact
 from critlab.cli import main as cli_main
-from oracles import _det_bareiss, brute_force_spanning_trees, f2_bicycle_dimension, integer_snf
+from oracles import (
+    _det_bareiss,
+    brute_force_spanning_trees,
+    f2_bicycle_dimension,
+    format_edge_list,
+    integer_snf,
+)
 
 
 def prism_graph():
@@ -76,6 +80,11 @@ def disjoint_union(*graphs):
         edges += [(u + n, v + n) for u, v in g.edges]
         n += g.n
     return Graph(n, edges)
+
+
+def reduced_laplacian_det(g):
+    # the oracles' Bareiss determinant of the Laplacian less row and column 0
+    return _det_bareiss([row[1:] for row in laplacian_matrix(g).to_rows()[1:]])
 
 
 def snf_critical_group(g):
@@ -169,7 +178,7 @@ class TestCriticalGroup:
 
     @pytest.mark.parametrize("g", SMALL_CONNECTED)
     def test_order_equals_tree_count(self, g):
-        assert critical_group(g).order == spanning_tree_count(g)
+        assert critical_group(g).order == reduced_laplacian_det(g)
 
     @pytest.mark.parametrize("seed", range(100))
     def test_random_graphs_against_snf(self, seed):
@@ -204,12 +213,10 @@ class TestCriticalGroup:
         assert factors.count(0) == 1
         factors = cg.invariant_factors
         assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
-        assert cg.order == spanning_tree_count(g)
         assert cg.free_rank == 1
+        # the oracles' determinant shares no code with critical_group
+        assert cg.order == reduced_laplacian_det(g)
         lap = laplacian_matrix(g)
-        # spanning_tree_count shares _bareiss with critical_group; the
-        # oracles' determinant shares no code with either
-        assert cg.order == _det_bareiss([row[1:] for row in lap.to_rows()[1:]])
         for p in (2, 3, 5, 7):
             exps = [valuation(d, p) for d in factors]
             expected = [0] * (max(exps, default=0) + 1)
@@ -288,24 +295,29 @@ class TestCertifiedModulus:
 
 
 class TestSpanningTreeCount:
+    """A connected graph's critical-group order is its spanning-tree count;
+    a disconnected graph has none, and free rank above 1."""
+
     def test_k4_cayley(self):
-        assert spanning_tree_count(complete_graph(4)) == 16
+        assert critical_group(complete_graph(4)).order == 16
 
     def test_cycle(self):
-        assert spanning_tree_count(cycle_graph(5)) == 5
+        assert critical_group(cycle_graph(5)).order == 5
 
     def test_petersen(self):
-        assert spanning_tree_count(petersen_graph()) == 2000
+        assert critical_group(petersen_graph()).order == 2000
 
     def test_single_vertex(self):
-        assert spanning_tree_count(Graph(1, [])) == 1
+        assert critical_group(Graph(1, [])).order == 1 == brute_force_spanning_trees(Graph(1, []))
 
     def test_disconnected_is_zero(self):
-        assert spanning_tree_count(Graph(4, [(0, 1), (2, 3)])) == 0
+        g = Graph(4, [(0, 1), (2, 3)])
+        assert critical_group(g).free_rank == 2
+        assert brute_force_spanning_trees(g) == 0 == reduced_laplacian_det(g)
 
     @pytest.mark.parametrize("g", SMALL_CONNECTED)
     def test_against_brute_force(self, g):
-        assert spanning_tree_count(g) == brute_force_spanning_trees(g)
+        assert critical_group(g).order == brute_force_spanning_trees(g)
 
     def test_petersen_against_brute_force(self):
         assert brute_force_spanning_trees(petersen_graph()) == 2000

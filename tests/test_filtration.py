@@ -1,3 +1,4 @@
+import operator
 import random
 import time
 
@@ -36,7 +37,7 @@ def _level_generators(m, p, b):
     level bookkeeping of ``verify_filtration_dims``, not for the kernel.
     The images are exact over Z, from ``matmul``, since the Hermite-form
     checks compare lattices; ``_checked_images``, which returns them only
-    modulo p^(b + 1), is called for its divisibility check alone.
+    modulo p^b, is called for its divisibility check alone.
     """
     q = [[int(r == c) for r in range(m.cols)] for c in range(m.cols)]
     exps = _eliminate_mod(m, p, b, q)
@@ -323,7 +324,8 @@ class TestRankProfileRoute:
 
     def test_scaled_tracked_column_fails_the_image_chain(self, monkeypatch, capsys):
         # p q_0 keeps every image divisible, so only the N chain can see it:
-        # the row (p m q_0 / p^v_0) mod p is 0, and N loses a dimension
+        # the row (p m q_0 / p^v_0) mod p is 0, and N loses a dimension at
+        # every level from v_0 on
         def scaling(m, p, b, track=None):
             exps = _eliminate_mod(m, p, b, track)
             if track is not None and exps:
@@ -333,7 +335,7 @@ class TestRankProfileRoute:
         monkeypatch.setattr(exact, "_eliminate_mod", scaling)
         rep = verify_filtration_dims(laplacian_matrix(hoffman_singleton_graph()), 5)
         assert not rep.passed
-        assert rep.dims_N[:4] == (20, 29, 48, 49)
+        assert rep.dims_N[:4] == (20, 29, 48, 48)
         petersen = laplacian_matrix(petersen_graph())
         for p in (2, 5):
             assert not verify_filtration_dims(petersen, p).passed
@@ -393,9 +395,9 @@ class TestHoffmanSingleton:
 
 
 class TestFiltrationDepth:
-    """Levels past max exponent + 1 are emitted as constant, not measured."""
+    """Levels past the largest exponent are emitted as constant, not measured."""
 
-    def test_hoffman_singleton_measures_four_levels(self, monkeypatch):
+    def test_hoffman_singleton_measures_three_levels(self, monkeypatch):
         calls = []
 
         def counting(rows, p):
@@ -404,9 +406,9 @@ class TestFiltrationDepth:
 
         monkeypatch.setattr(filtration, "_rank_profile_mod_p", counting)
         rep = verify_filtration_dims(laplacian_matrix(hoffman_singleton_graph()), 5)
-        # one rank profile, of the N chain, with one row per column, for
-        # levels 0..3; the M chain is counted
-        assert calls == [50]
+        # one rank profile, of the N chain, with one row per pivot column,
+        # for levels 0..2; the M chain is counted
+        assert calls == [49]
         assert rep.passed
         assert rep.dims_M == (50, 29, 20) + (1,) * 46
         assert rep.dims_N == (21, 30) + (49,) * 47
@@ -462,6 +464,86 @@ def _matrices_with_p_divisors(p, count):
     return out
 
 
+class TestTrackerCorruptionSweep:
+    """Seeded corruptions of the tracked columns of the last pass: the
+    report's verdict against one measured level at a time, each level from
+    all of its generators, the non-pivot images included."""
+
+    @staticmethod
+    def _corrupt(kind, q, exps, p, rng):
+        C = len(q)
+        if kind == "scale" and exps:
+            k = rng.randrange(len(exps))
+            q[k] = [p * x for x in q[k]]
+        elif kind == "shift" and C:
+            q[rng.randrange(C)][rng.randrange(C)] += 1
+        elif kind == "copy" and C > 1:
+            j, k = rng.sample(range(C), 2)
+            q[k] = list(q[j])
+        elif kind == "swap" and C > 1:
+            j, k = rng.sample(range(C), 2)
+            q[j], q[k] = q[k], q[j]
+
+    @staticmethod
+    def _reference_verdict(m, p, exps, q):
+        """"caught" when an image fails its divisibility, else whether the
+        ranks of levels 0..depth, each from its own generators and the last
+        one repeated, equal e_0 + ... + e_i."""
+        depth = max(exps) + 1 if exps else 0
+        top = sum(exps) + 1
+        mod = p**depth
+        q = [[x % mod for x in qk] for qk in q]
+        images = [[sum(map(operator.mul, row, qk)) for row in m.to_rows()] for qk in q]
+        scale = [p**v for v in exps] + [mod] * (len(q) - len(exps))
+        if any(x % s for s, y in zip(scale, images) for x in y):
+            return "caught"
+        dims = []
+        for i in range(depth + 1):
+            rows = []
+            for k, y in enumerate(images):
+                f = p ** max(0, i - exps[k]) if k < len(exps) else 1
+                rows.append([f * x // p**i for x in y])
+            dims.append(_gauss_rank_mod_p(rows, p))
+        dims += dims[-1:] * (top - depth)
+        e = [exps.count(v) for v in range(depth)]
+        return dims == [sum(e[: i + 1]) for i in range(top + 1)]
+
+    def test_verdicts_match_the_full_generator_ranks(self, monkeypatch):
+        kinds = ("scale", "shift", "copy", "swap")
+        last = {}
+
+        def corrupting(m, p, b, track=None):
+            exps = _eliminate_mod(m, p, b, track)
+            if track is not None:
+                self._corrupt(last["kind"], track, exps, p, last["rng"])
+                last["pass"] = (exps, [list(qk) for qk in track])
+            return exps
+
+        monkeypatch.setattr(exact, "_eliminate_mod", corrupting)
+        laplacians = [laplacian_matrix(g) for g in (petersen_graph(), hoffman_singleton_graph())]
+        verdicts = []
+        for p in (2, 3, 5):
+            matrices = _profile_route_matrices() + _matrices_with_p_divisors(p, 20) + laplacians
+            for n, m in enumerate(matrices):
+                last["kind"] = kinds[n % 4]
+                last["rng"] = random.Random(f"corrupt:{p}:{n}")
+                try:
+                    got = verify_filtration_dims(m, p).passed
+                except AssertionError:
+                    got = "caught"
+                assert got == self._reference_verdict(m, p, *last["pass"]), (p, n)
+                verdicts.append((last["kind"], got))
+        assert len(verdicts) == 1056
+        # a swap keeps the span of q, so it passes or is caught; the other
+        # kinds fail the chain somewhere
+        for kind in ("scale", "shift", "copy"):
+            assert (kind, False) in verdicts
+        assert ("swap", False) not in verdicts
+        assert sum(got is False for _, got in verdicts) >= 400
+        assert sum(got == "caught" for _, got in verdicts) >= 150
+        assert sum(got is True for _, got in verdicts) >= 300
+
+
 class TestCheckedImages:
     """The packed images of ``_checked_images`` against exact products."""
 
@@ -490,7 +572,7 @@ class TestCheckedImages:
         for m, p, b in self._seeded_cases():
             q = [[int(r == c) for r in range(m.cols)] for c in range(m.cols)]
             exps = _eliminate_mod(m, p, b, q)
-            P = p ** (b + 1)
+            P = p**b
             exact_images = [matmul(m, IntMatrix(m.cols, 1, qk)).to_rows() for qk in q]
             assert _checked_images(m, p, exps, q, b) == [
                 [x % P for (x,) in y] for y in exact_images
@@ -500,12 +582,12 @@ class TestCheckedImages:
 
     @pytest.mark.parametrize("p, b", [(2, 1), (2, 3), (3, 2), (5, 1), (7, 2), (11, 1)])
     def test_every_slot_at_its_bound(self, p, b):
-        # m = -1 is P - 1 mod P, and C = p^b columns of p^b - 1 fill every
-        # slot to C (P - 1)(p^b - 1), the bound the slot width comes from;
-        # the image -C (p^b - 1) is 0 mod p^b, as a non-pivot column needs
-        C = p**b
-        q = [[p**b - 1] * C for _ in range(C)]
+        # m = -1 is P - 1 mod P = p^b, and C = P columns of P - 1 fill every
+        # slot to C (P - 1)^2, the bound the slot width comes from; the
+        # image -C (P - 1) is 0 mod P, as a non-pivot column needs
+        C = P = p**b
+        q = [[P - 1] * C for _ in range(C)]
         for R in (2, 3):
             m = IntMatrix(R, C, [-1] * (R * C))
-            image = -C * (p**b - 1) % p ** (b + 1)
-            assert _checked_images(m, p, [], q, b) == [[image] * R] * C
+            assert -C * (P - 1) % P == 0
+            assert _checked_images(m, p, [], q, b) == [[0] * R] * C

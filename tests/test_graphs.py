@@ -8,11 +8,9 @@ from critlab import (
     InfeasibleParametersError,
     IntMatrix,
     SrgParams,
-    adjacency_matrix,
     check_srg,
     complete_graph,
     cycle_graph,
-    format_edge_list,
     hoffman_singleton_graph,
     laplacian_matrix,
     moore_graph,
@@ -21,7 +19,7 @@ from critlab import (
     petersen_graph,
     srg_spectrum,
 )
-from oracles import matmul
+from oracles import adjacency_matrix, format_edge_list, matmul
 
 
 def complement(g):

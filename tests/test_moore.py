@@ -16,7 +16,6 @@ from critlab import (
     elem_divisor_profile,
     enumerate_families,
     family_membership,
-    forced_multiplicities,
     hoffman_singleton_graph,
     laplacian_matrix,
     petersen_graph,
@@ -95,33 +94,36 @@ class TestDivisorBound:
 
 
 class TestForcedMultiplicities:
+    """A prime with bound exponent 1 has its multiplicity in
+    ``analyze(params)["forced"]``; any other prime goes to
+    ``enumerate_families``."""
+
     def test_moore57_prime_2(self):
-        assert forced_multiplicities(MOORE57, 2) == 1728
+        assert analyze(MOORE57)["forced"]["2"] == 1728
 
     def test_moore57_prime_13(self):
-        assert forced_multiplicities(MOORE57, 13) == 1519
+        assert analyze(MOORE57)["forced"]["13"] == 1519
 
     def test_prime_coprime_to_order(self):
-        assert forced_multiplicities(MOORE57, 3) == 0
-        assert forced_multiplicities(C5, 2) == 0
+        assert "3" not in analyze(MOORE57)["forced"]
+        assert "2" not in analyze(C5)["forced"]
 
     def test_moore57_prime_5_defers_to_families(self):
-        result = forced_multiplicities(MOORE57, 5)
-        assert isinstance(result, list)
-        assert len(result) == 2
+        assert "5" not in analyze(MOORE57)["forced"]
+        assert len(enumerate_families(MOORE57, 5)) == 2
 
     def test_hosi_prime_2(self):
-        assert forced_multiplicities(HOSI, 2) == 20
+        assert analyze(HOSI)["forced"]["2"] == 20
 
     def test_forced_matches_measured_e1(self):
         # the real graphs realize the forced value at q = 2
         for params, graph in ((PETERSEN, petersen_graph()), (HOSI, hoffman_singleton_graph())):
             prof = elem_divisor_profile(laplacian_matrix(graph), 2)
-            assert forced_multiplicities(params, 2) == prof.e(1)
+            assert analyze(params)["forced"]["2"] == prof.e(1)
 
     def test_non_prime_rejected(self):
         with pytest.raises(ValueError):
-            forced_multiplicities(MOORE57, 6)
+            enumerate_families(MOORE57, 6)
 
 
 class TestEnumerateFamiliesMoore57:
@@ -226,7 +228,7 @@ class TestEnumerateFamiliesOtherParams:
         assert 21 <= 1 + e2 + e1
 
     def test_petersen_forced_at_5(self):
-        assert forced_multiplicities(PETERSEN, 5) == 3
+        assert analyze(PETERSEN)["forced"]["5"] == 3
 
     def test_conference_params_have_no_eigen_constraints(self):
         (fam,) = enumerate_families(C5, 5)
@@ -415,7 +417,7 @@ class TestContradictionOutcomes:
             moore_mod, "predicted_order_from_spectrum", lambda s, v: {3: 4}
         )
         with pytest.raises(ContradictionError):
-            forced_multiplicities(MOORE57, 3)
+            analyze(MOORE57, (3,))
 
     def test_infeasible_constant_solution_is_dropped(self):
         assert (
