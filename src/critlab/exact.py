@@ -21,11 +21,16 @@ The other routes are kept independent on purpose, as oracles that check
 
 * ``elem_divisor_profile`` never forms the integer Smith form; it eliminates
   modulo p^b with valuation-aware pivoting (``_eliminate_mod``), which keeps
-  entries bounded and gives the per-prime structure; b grows until a
-  certificate shows that every nonzero divisor has been found
-  (``_certified_exponents``).  The same loop, with a column tracker, gives
-  the filtration levels in ``filtration.py`` from its last pass, so the
-  filtration identities are not an independent check of the profile.
+  entries bounded and gives the per-prime structure.  A lower bound on the
+  valuations of the remaining block, which row operations never lower, lets
+  each stage take the first entry at that level, with one full valuation
+  scan per level, and each stage updates only the nonzero columns of its
+  pivot row.  b grows until a certificate shows that every nonzero divisor
+  has been found (``_certified_exponents``).  The same loop, with a column
+  tracker, gives the filtration levels in ``filtration.py`` from its last
+  pass, so the filtration identities are not an independent check of the
+  profile.  ``eliminate_mod_reference`` in ``tests/oracles.py`` keeps the
+  per-stage full valuation scan as the check of the kernel's pivot order.
 * integer elimination with no modulus, the oracle for ``snf``, lives in
   the test suite (``tests/oracles.py``, ``integer_snf``).
 
@@ -506,67 +511,94 @@ def _eliminate_mod(
     0 mod p^b.  This is the kernel of ``elem_divisor_profile`` and of the
     filtration levels.
 
+    The pivot is the first entry in row-major order of least valuation, found
+    without computing most valuations.  ``level`` is a lower bound on the
+    valuation of every entry in the remaining block.  It stays one because a
+    stage's row operations subtract multiples of the pivot row, whose entries
+    are 0 mod p^level, and reducing mod p^b (b > level) keeps that; the block
+    only shrinks.  So the first entry that is not 0 mod p^(level + 1) has
+    valuation exactly level and is the pivot.  Only when no entry is left at
+    that level does a full scan of the valuations find the least one and
+    raise ``level`` to it: one scan per level, not one per stage.
+
+    Each stage builds the nonzero pattern of the pivot row once, and the row
+    updates touch only its columns, so they cost the rows with a nonzero in
+    column t times the pivot row's nonzeros.  Column t below the pivot is
+    left as it is, and a column swap skips the rows above t: no later stage
+    reads them.
+
     ``track``, if given, is a list of m.cols columns (usually the identity's)
-    that receives every column operation.  Afterwards there is a row
+    that receives every column operation, in place: one per column of the
+    pivot row's pattern, each changing only the entries where tracked column
+    t is nonzero, and reducing those mod p^b.  Afterwards there is a row
     transform P, invertible mod p^b, with P m q = diag(p^v_0 u_0, ...,
     p^v_{r-1} u_{r-1}, 0, ..., 0) mod p^b for units u_k, where q has the
-    tracked columns.  Tracked entries stay below p^b.  Starting from the
-    identity, q has determinant +-1 over Z, not only mod p^b: the column
-    operation of stage t subtracts multiples of column t from later columns,
-    and column t is 0 at the unit coordinate of every later column, so each
-    column keeps a 1 at its own coordinate and q is a column permutation of
-    a unit upper-triangular matrix (reducing entries mod p^b keeps that).
+    tracked columns.  Starting from the identity, tracked entries stay below
+    p^b whenever a stage runs (b >= 1), and q has determinant +-1 over Z,
+    not only mod p^b: the column operation of stage t subtracts multiples of
+    column t from later columns, and column t is 0 at the unit coordinate of
+    every later column, so each column keeps a 1 at its own coordinate and q
+    is a column permutation of a unit upper-triangular matrix (reducing
+    entries mod p^b keeps that).
     """
     R, C = m.rows, m.cols
     mod = p**b
     a = [[x % mod for x in row] for row in m.to_rows()]
     exps: list[int] = []
+    level = 0  # every entry of the remaining block is 0 mod p^level
     for t in range(min(R, C)):
-        best_v = -1
-        pi = pj = -1
-        for i in range(t, R):
-            rowi = a[i]
-            for j in range(t, C):
-                r = rowi[j]
-                if r:
-                    v = 0
-                    while r % p == 0:
-                        r //= p
-                        v += 1
-                    if best_v < 0 or v < best_v:
-                        best_v = v
-                        pi, pj = i, j
-            if best_v == 0:
-                break
-        if pi < 0:
-            break  # everything that remains is 0 mod p^b
+        # the first entry in row-major order of valuation exactly level
+        step = p ** (level + 1)
+        pi, pj = next(
+            ((i, j) for i in range(t, R) for j in range(t, C) if a[i][j] % step), (-1, -1)
+        )
+        if pi >= 0:
+            v = level
+        else:
+            # none is left at this level: the first entry of least valuation
+            best_v = -1
+            for i in range(t, R):
+                rowi = a[i]
+                for j in range(t, C):
+                    r = rowi[j]
+                    if r:
+                        v = 0
+                        while r % p == 0:
+                            r //= p
+                            v += 1
+                        if best_v < 0 or v < best_v:
+                            best_v = v
+                            pi, pj = i, j
+            if pi < 0:
+                break  # everything that remains is 0 mod p^b
+            level = v = best_v
         if pi != t:
             a[t], a[pi] = a[pi], a[t]
         if pj != t:
-            for row in a:
+            for row in a[t:]:
                 row[t], row[pj] = row[pj], row[t]
             if track is not None:
                 track[t], track[pj] = track[pj], track[t]
-        v = best_v
         exps.append(v)
         pv = p**v
-        unit_inv = pow(a[t][t] // pv, -1, mod)
         rowt = a[t]
-        for i in range(t + 1, R):
-            x = a[i][t]
+        unit_inv = pow(rowt[t] // pv, -1, mod)
+        pattern = [(j, x) for j, x in enumerate(rowt[t + 1 :], t + 1) if x]
+        for ai in a[t + 1 :]:
+            x = ai[t]
             if x:
                 mult = (x // pv) * unit_inv % mod
-                ai = a[i]
-                for j in range(t, C):
-                    ai[j] = (ai[j] - mult * rowt[j]) % mod
+                for j, y in pattern:
+                    ai[j] = (ai[j] - mult * y) % mod
         if track is not None:
-            # Column t is clear below the pivot, so clearing row t by column
-            # operations would change no entry that a later stage reads; only
-            # the tracker needs them.
-            qt = track[t]
-            for j in range(t + 1, C):
-                x = rowt[j]
-                if x:
-                    mult = (x // pv) * unit_inv % mod
-                    track[j] = [(y - mult * z) % mod for y, z in zip(track[j], qt)]
+            # The row operations make column t 0 below the pivot, so clearing
+            # row t by column operations would change no entry that a later
+            # stage reads; only the tracker needs them, and each changes only
+            # the entries where tracked column t is nonzero.
+            qt = [(r, z) for r, z in enumerate(track[t]) if z]
+            for j, x in pattern:
+                mult = (x // pv) * unit_inv % mod
+                col = track[j]
+                for r, z in qt:
+                    col[r] = (col[r] - mult * z) % mod
     return exps

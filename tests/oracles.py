@@ -8,7 +8,9 @@ determinantal divisors (gcds of k x k minors), bicycle
 dimensions by enumerating the binary cut space, elementary-divisor
 profiles read off an integer Smith form, admissible SRG multiplicity
 vectors by exhaustive search, ranks over F_p by Gaussian elimination on
-lists (``_gauss_rank_mod_p``), matrix products by the row-times-column
+lists (``_gauss_rank_mod_p``), the pivot order of the p-adic elimination
+kernel by a full valuation scan at every stage
+(``eliminate_mod_reference``), matrix products by the row-times-column
 definition (``matmul``), lattice bases in Hermite normal form
 (``hermite_rows``) and integer kernels from the Hermite form of [m; I]
 (``kernel_basis``), the Laplacian identity of an SRG entrywise on plain
@@ -278,6 +280,60 @@ def _gauss_rank_mod_p(rows, p: int) -> int:
         if rank == R:
             break
     return rank
+
+
+def eliminate_mod_reference(rows, p: int, b: int, track=None) -> list[int]:
+    """Pivot exponents of the valuation-pivoting elimination of the integer
+    rows modulo p^b, with the library kernel's pivot order.
+
+    A duplicate of ``exact._eliminate_mod``, kept on purpose as the list
+    reference for its pivot order: every stage computes the p-valuation of
+    every nonzero entry of the remaining block and pivots on the first one
+    of least valuation in row-major order, then updates every column of
+    every row below the pivot, and of every tracked column that the pivot
+    row reaches.  ``track``, if given, is a list of len(rows[0]) columns
+    that receives the column operations, so the tracked columns can be
+    compared with the kernel's.
+    """
+    R = len(rows)
+    C = len(rows[0]) if rows else 0
+    mod = p**b
+    a = [[x % mod for x in row] for row in rows]
+    exps = []
+    for t in range(min(R, C)):
+        best_v = -1
+        pi = pj = -1
+        for i in range(t, R):
+            for j in range(t, C):
+                r = a[i][j]
+                if r:
+                    v = 0
+                    while r % p == 0:
+                        r //= p
+                        v += 1
+                    if best_v < 0 or v < best_v:
+                        best_v = v
+                        pi, pj = i, j
+        if pi < 0:
+            break
+        a[t], a[pi] = a[pi], a[t]
+        for row in a:
+            row[t], row[pj] = row[pj], row[t]
+        if track is not None:
+            track[t], track[pj] = track[pj], track[t]
+        exps.append(best_v)
+        pv = p**best_v
+        unit_inv = pow(a[t][t] // pv, -1, mod)
+        for i in range(t + 1, R):
+            mult = (a[i][t] // pv) * unit_inv % mod
+            for j in range(t, C):
+                a[i][j] = (a[i][j] - mult * a[t][j]) % mod
+        if track is not None:
+            for j in range(t + 1, C):
+                mult = (a[t][j] // pv) * unit_inv % mod
+                if mult:
+                    track[j] = [(y - mult * z) % mod for y, z in zip(track[j], track[t])]
+    return exps
 
 
 def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:

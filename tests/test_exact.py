@@ -18,6 +18,7 @@ from critlab.exact import _eliminate_mod, _valuation_bound
 from oracles import (
     _det_bareiss,
     _gauss_rank_mod_p,
+    eliminate_mod_reference,
     format_matrix,
     integer_snf,
     matmul,
@@ -683,6 +684,47 @@ class TestEliminateMod:
                     assert abs(_det_bareiss(q)) == 1
                     nontrivial += any(x not in (0, 1) for col in q for x in col)
         assert nontrivial > 1000
+
+    @staticmethod
+    def assert_same_as_reference(rows, p, b):
+        """The kernel's exponents, in order, and tracked columns equal the
+        full-scan reference's; returns the exponents."""
+        cols = len(rows[0]) if rows else 0
+        q = IntMatrix.identity(cols).to_rows()
+        q_ref = IntMatrix.identity(cols).to_rows()
+        m = IntMatrix(len(rows), cols, [x for row in rows for x in row])
+        exps = _eliminate_mod(m, p, b, q)
+        assert exps == eliminate_mod_reference(rows, p, b, q_ref), (rows, p, b)
+        assert q == q_ref, (rows, p, b)
+        return exps
+
+    def test_pivot_order_matches_the_full_scan_reference(self):
+        # entries scaled by p or p^2 leave rows with no entry at the current
+        # level, and blocks whose least valuation jumps by two or more
+        rng = random.Random(2610)
+        matrices = jumps = 0
+        for p in (2, 3, 5, 7):
+            for b in range(7):
+                for _ in range(110):
+                    R, C = rng.randint(0, 9), rng.randint(0, 9)
+                    rows = [
+                        [rng.randint(-2 * p, 2 * p) * rng.choice((1, p, p * p)) for _ in range(C)]
+                        for _ in range(R)
+                    ]
+                    exps = self.assert_same_as_reference(rows, p, b)
+                    matrices += 1
+                    jumps += any(w - v >= 2 for v, w in zip(exps, exps[1:]))
+        assert matrices >= 3000
+        assert jumps > 50
+
+    def test_least_valuation_jumps_from_0_to_3(self):
+        # after the unit pivot the block is [[0, 0], [8, 16], [8, 24]] mod 2^b:
+        # its first row has no entry at any level below b, and its least
+        # valuation is 3
+        rows = [[1, 2, 4], [3, 6, 12], [5, 18, 36], [7, 22, 52]]
+        assert self.assert_same_as_reference(rows, 2, 6) == [0, 3, 3]
+        assert self.assert_same_as_reference(rows, 2, 4) == [0, 3, 3]
+        assert self.assert_same_as_reference(rows, 2, 3) == [0]
 
 
 class TestMatrixTextFormat:
