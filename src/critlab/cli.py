@@ -24,6 +24,7 @@ import argparse
 import functools
 import json
 import sys
+from math import prod
 
 from .arith import UnfactoredError, is_prime
 from .critical import bicycle_dimension, critical_group
@@ -44,7 +45,7 @@ from .graphs import (
 )
 from .intmatrix import IntMatrix, parse_matrix
 from .moore import ContradictionError, analyze
-from .sandpile import SizeGuardError, recurrent_count, sandpile_group_structure
+from .sandpile import SizeGuardError, sandpile_group_structure
 
 
 class _Parser(argparse.ArgumentParser):
@@ -249,8 +250,8 @@ def _cmd_filtration(args) -> int:
 
 def _cmd_sandpile(args) -> int:
     g, name = _load_graph(args)
-    count = recurrent_count(g, args.sink)
     structure = sandpile_group_structure(g, args.sink)
+    count = prod(structure)  # the number of recurrent configurations
     cg = critical_group(g)
     matches = tuple(d for d in structure if d > 1) == cg.invariant_factors
     report = {

@@ -117,10 +117,6 @@ class FiltrationReport(namedtuple("FiltrationReport", "p dims_M dims_N kernel_di
 
     __slots__ = ()
 
-    @property
-    def max_i(self) -> int:
-        return len(self.dims_M) - 1
-
     def to_json_dict(self) -> dict:
         return {
             "p": self.p,

@@ -129,11 +129,6 @@ class SolutionFamily(
 
     __slots__ = ()
 
-    def evaluate(self, t: int) -> tuple[int, ...]:
-        if not (self.t_range[0] <= t <= self.t_range[1]):
-            raise ValueError(f"t={t} outside range {self.t_range}")
-        return tuple(ex(t) for ex in self.exprs)
-
     def contains(self, multiplicities) -> int | None:
         """Parameter value matching the given (e_0, e_1, ...) or None."""
         top = len(self.exprs)

@@ -111,7 +111,7 @@ def test_criterion_3_filtration_identities_random(capsys):
             rep = verify_filtration_dims(m, p)
             mult, _ = profile_from_snf(factors, p)
             kern = m.cols - sum(1 for d in factors if d)
-            depth = rep.max_i
+            depth = len(rep.dims_M) - 1
             e = list(mult) + [0] * (depth + 2 - len(mult))
             expect_m = tuple(kern + sum(e[i:]) for i in range(depth + 1))
             expect_n = tuple(sum(e[: i + 1]) for i in range(depth + 1))

@@ -173,7 +173,7 @@ class TestVerifyFiltrationDims:
                 # Smith form, independently of the mod-p^B profile
                 mult, _ = profile_from_snf(factors, p)
                 kern = _kernel_dim(m)
-                depth = rep.max_i
+                depth = len(rep.dims_M) - 1
                 e = list(mult) + [0] * (depth + 2 - len(mult))
                 assert rep.kernel_dim == kern
                 for i in range(depth + 1):
@@ -232,8 +232,8 @@ class TestAgreementWithLatticeRoute:
                 rep = verify_filtration_dims(m, p)
                 assert rep.passed
                 assert rep.kernel_dim == kern
-                level = _level_generators(m, p, rep.max_i)
-                for i in range(rep.max_i + 1):
+                level = _level_generators(m, p, len(rep.dims_M) - 1)
+                for i in range(len(rep.dims_M)):
                     dom, img = level(i)
                     assert rep.dims_M[i] == _gauss_rank_mod_p(dom, p)
                     assert rep.dims_N[i] == _gauss_rank_mod_p(img, p)
@@ -382,7 +382,7 @@ class TestHoffmanSingleton:
         # an echelon lattice per level would take minutes for the 49 levels
         assert time.perf_counter() - start < 10
         assert rep.passed
-        assert rep.max_i + 1 == 49
+        assert len(rep.dims_M) == 49
         assert rep.dims_M[:4] == (50, 29, 20, 1)
         assert rep.dims_N[:4] == (21, 30, 49, 49)
         assert set(rep.dims_M[3:]) == {1}
@@ -422,7 +422,7 @@ class TestFiltrationDepth:
                 prof = elem_divisor_profile(m, p)
                 depth, top = len(prof.multiplicities), prof.total_valuation + 1
                 assert rep.passed
-                assert rep.max_i == top
+                assert len(rep.dims_M) - 1 == top
                 level = _level_generators(m, p, top)
                 for i in range(depth + 1, top + 1):
                     dom, img = level(i)

@@ -155,7 +155,7 @@ class TestEnumerateFamiliesMoore57:
         for fam in enumerate_families(MOORE57, 5):
             lo, hi = fam.t_range
             for t in (lo, (lo + hi) // 2, hi):
-                e = fam.evaluate(t)
+                e = tuple(ex(t) for ex in fam.exprs)
                 assert all(x >= 0 for x in e)
                 assert sum(e) + 1 == 3250
                 assert sum(i * x for i, x in enumerate(e)) == 4975
@@ -170,7 +170,7 @@ class TestEnumerateFamiliesMoore57:
         for fam in fams:
             lo, hi = fam.t_range
             for t in range(lo, hi + 1):
-                covered.add(fam.evaluate(t))
+                covered.add(tuple(ex(t) for ex in fam.exprs))
         admissible = set()
         for e0 in range(0, 3251):
             lo3 = max(0, 2 * e0 - 1523)  # e1 = 1523 - 2 e0 + e3 >= 0
@@ -204,7 +204,8 @@ class TestEnumerateFamiliesOtherParams:
 
     def test_hosi_coverage_by_scan(self):
         (fam,) = enumerate_families(HOSI, 5)
-        covered = {fam.evaluate(t) for t in range(fam.t_range[0], fam.t_range[1] + 1)}
+        lo, hi = fam.t_range
+        covered = {tuple(ex(t) for ex in fam.exprs) for t in range(lo, hi + 1)}
         admissible = set()
         for e2 in range(0, 24):  # e1 = 47 - 2 e2 >= 0
             e1 = 47 - 2 * e2
@@ -232,7 +233,7 @@ class TestEnumerateFamiliesOtherParams:
 
     def test_conference_params_have_no_eigen_constraints(self):
         (fam,) = enumerate_families(C5, 5)
-        assert fam.evaluate(fam.t_range[0]) == (3, 1)
+        assert tuple(ex(fam.t_range[0]) for ex in fam.exprs) == (3, 1)
 
     def test_unsupported_bound_exponent(self):
         # Clebsch parameters put 2^5 in the bound; T(5) = (10, 6, 3, 4) puts
@@ -345,7 +346,7 @@ class TestSmallParameterSweep:
             except ContradictionError:
                 fams = []
             points = [
-                fam.evaluate(t)
+                tuple(ex(t) for ex in fam.exprs)
                 for fam in fams
                 for t in range(fam.t_range[0], fam.t_range[1] + 1)
             ]

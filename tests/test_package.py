@@ -30,6 +30,7 @@ from critlab import (
 
 ROOT = Path(__file__).resolve().parent.parent
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
+SANDPILE = ROOT / "src" / "critlab" / "sandpile.py"
 ELIMINATION = ("critlab.exact", "critlab.filtration")
 
 # one instance of each result record, with its repr as recorded from the
@@ -97,6 +98,19 @@ REMOVED = [
 ]
 
 
+def _imports(path):
+    """(module, name) of every import in a source file, with relative modules
+    resolved against critlab and name None for a plain ``import``."""
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported += [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ("critlab." if node.level else "") + (node.module or "")
+            imported += [(module.rstrip("."), alias.name) for alias in node.names]
+    return imported
+
+
 class TestLibraryOracleSplit:
     def test_public_names_are_pinned(self):
         assert len(PUBLIC_NAMES) == 47
@@ -118,12 +132,7 @@ class TestLibraryOracleSplit:
     def test_oracles_import_no_elimination_code(self):
         # the claim of the oracles' docstring: nothing from critlab.exact or
         # critlab.filtration, directly or through the package namespace
-        imported = []
-        for node in ast.walk(ast.parse(ORACLES.read_text())):
-            if isinstance(node, ast.Import):
-                imported += [(alias.name, None) for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                imported += [(node.module, alias.name) for alias in node.names]
+        imported = _imports(ORACLES)
         assert ("critlab", "IntMatrix") in imported
         for module, name in imported:
             assert module not in ELIMINATION
@@ -131,6 +140,19 @@ class TestLibraryOracleSplit:
                 obj = getattr(critlab, name)
                 origin = obj.__name__ if isinstance(obj, ModuleType) else obj.__module__
                 assert origin not in ELIMINATION, name
+
+
+    def test_sandpile_oracle_imports_only_arith_and_graphs(self):
+        # the chip-firing oracle shares no Laplacian algebra with the routes
+        # it checks: of critlab it imports only the arithmetic and the graphs
+        modules = {
+            f"critlab.{name}" if module == "critlab" else module
+            for module, name in _imports(SANDPILE)
+        }
+        assert {m for m in modules if m.split(".")[0] == "critlab"} == {
+            "critlab.arith",
+            "critlab.graphs",
+        }
 
 
 class TestRecords:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -16,6 +17,14 @@ from critlab import (
 from critlab import sandpile
 from critlab.sandpile import _is_recurrent_list, _stabilize_list
 from oracles import brute_force_spanning_trees
+
+# an 8-vertex graph with exactly the guard's 75,000 stable configurations at
+# sinks 0 and 7, and a cyclic group of squarefree order 19,923 = 3 * 29 * 229
+EDGES_19923 = [
+    tuple(map(int, e.split("-")))
+    for e in "0-1 0-3 0-4 0-5 0-7 1-2 1-3 1-5 1-7 2-3 2-5 2-6 2-7 3-4 3-5 4-5 "
+    "4-6 4-7 5-6 6-7".split()
+]
 
 
 def stabilized(g, chips):
@@ -135,3 +144,43 @@ class TestGroupStructure:
         results = {sandpile_group_structure(g, sink=s) for s in sinks}
         assert len(results) == 1
         assert results.pop() == critical_group(g).invariant_factors
+
+    def test_squarefree_orders_need_no_group_operation(self, monkeypatch):
+        # the part of a prime dividing |G| once is Z/p, read off the order
+        def stabilizing(chips, nbrs, degs, sink):
+            raise AssertionError("group operation")
+
+        monkeypatch.setattr(sandpile, "_stabilize_list", stabilizing)
+        assert sandpile_group_structure(cycle_graph(5)) == (5,)
+        assert sandpile_group_structure(Graph(8, EDGES_19923)) == (19923,)
+
+    def test_inconsistent_image_sizes_raise(self, monkeypatch):
+        # a broken group law that sends everything to one configuration:
+        # |G| / |2G| = 12 on C12 is no power of 2
+        monkeypatch.setattr(
+            sandpile, "_stabilize_list", lambda chips, nbrs, degs, sink: [0] * len(chips)
+        )
+        with pytest.raises(RuntimeError, match="image sizes inconsistent"):
+            sandpile_group_structure(cycle_graph(12))
+
+    def test_seeded_sweep_matches_smith_form(self):
+        # K4 (4, 4), K5 (5, 5, 5) and Petersen (2, 10, 10, 10) give factors of
+        # p-exponent >= 2 and several factors per prime, as do random graphs
+        # such as (4, 4, 4) and (4, 140); each of the 30 random graphs has at
+        # most 5,000 stable configurations at either sink
+        rng = random.Random(27)
+        graphs = [complete_graph(4), complete_graph(5), petersen_graph()]
+        while len(graphs) < 33:
+            n = rng.randint(4, 9)
+            edges = {(i, i + 1) for i in range(n - 1)}
+            for _ in range(rng.randint(1, 2 * n)):
+                u, v = rng.sample(range(n), 2)
+                edges.add((min(u, v), max(u, v)))
+            g = Graph(n, sorted(edges))
+            degs = g.degrees()
+            if max(math.prod(degs[1:]), math.prod(degs[:-1])) <= 5000:
+                graphs.append(g)
+        for g in graphs:
+            expected = critical_group(g).invariant_factors
+            for sink in (0, g.n - 1):
+                assert sandpile_group_structure(g, sink) == expected, (g.n, sink)
