@@ -7,12 +7,7 @@ critical groups of Moore-graph parameter sets.
 """
 
 from .arith import UnfactoredError, factorize, is_prime, prime_power_divisors, valuation
-from .critical import (
-    CriticalGroup,
-    bicycle_dimension,
-    critical_group,
-    predicted_order_from_spectrum,
-)
+from .critical import CriticalGroup, bicycle_dimension, critical_group
 from .exact import ElemDivisorProfile, SnfResult, elem_divisor_profile, rank_mod_p, snf
 from .filtration import FiltrationReport, verify_filtration_dims
 from .graphs import (
@@ -37,14 +32,13 @@ from .intmatrix import IntMatrix, parse_matrix
 from .moore import (
     AffineExpr,
     ContradictionError,
-    DivisorBound,
     LaplacianIdentity,
     SolutionFamily,
     analyze,
     derive_laplacian_identity,
-    divisor_bound,
     enumerate_families,
     family_membership,
+    predicted_order_from_spectrum,
 )
 from .sandpile import SizeGuardError, recurrent_count, sandpile_group_structure
 
@@ -54,7 +48,6 @@ __all__ = [
     "AffineExpr",
     "ContradictionError",
     "CriticalGroup",
-    "DivisorBound",
     "ElemDivisorProfile",
     "ExistenceUnknownError",
     "FiltrationReport",
@@ -76,7 +69,6 @@ __all__ = [
     "critical_group",
     "cycle_graph",
     "derive_laplacian_identity",
-    "divisor_bound",
     "elem_divisor_profile",
     "enumerate_families",
     "factorize",

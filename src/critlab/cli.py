@@ -54,6 +54,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# a builtin name reaches any size in a few characters: k1414 (998,991 edges)
+# builds in about 2 s, and k20000 would exhaust memory
+_EDGE_LIMIT = 1_000_000
+_FAMILIES = {  # constructor and edge count of cN, kN and pN
+    "c": (cycle_graph, lambda n: n),
+    "k": (complete_graph, lambda n: n * (n - 1) // 2),
+    "p": (path_graph, lambda n: n - 1),
+}
+
+
 def _builtin_graph(name: str) -> Graph:
     key = name.lower().replace("_", "-")
     if key == "petersen":
@@ -62,12 +72,15 @@ def _builtin_graph(name: str) -> Graph:
         return hoffman_singleton_graph()
     if key.startswith("moore") and key[5:].isdigit():
         return moore_graph(int(key[5:]))
-    if key.startswith("c") and key[1:].isdigit():
-        return cycle_graph(int(key[1:]))
-    if key.startswith("k") and key[1:].isdigit():
-        return complete_graph(int(key[1:]))
-    if key.startswith("p") and key[1:].isdigit():
-        return path_graph(int(key[1:]))
+    if key[:1] in _FAMILIES and key[1:].isdigit():
+        build, edge_count = _FAMILIES[key[:1]]
+        n = int(key[1:])
+        if edge_count(n) > _EDGE_LIMIT:
+            raise ValueError(
+                f"graph {name!r} has {edge_count(n)} edges; builtin graphs are "
+                f"limited to {_EDGE_LIMIT} edges"
+            )
+        return build(n)
     raise ValueError(f"unknown graph name {name!r}")
 
 

@@ -29,7 +29,7 @@ from math import prod
 
 from .arith import UnfactoredError, factorize, valuation
 from .exact import _divisibility_chain, _rank_f2, snf
-from .graphs import Graph, InfeasibleParametersError, SrgSpectrum
+from .graphs import Graph
 from .intmatrix import IntMatrix
 
 
@@ -112,55 +112,3 @@ def bicycle_dimension(g: Graph) -> int:
         sum(1 << v for v in nb) | (len(nb) & 1) << u for u, nb in enumerate(g.neighbors())
     )
     return g.n - components - _rank_f2(rows)[-1]
-
-
-def predicted_order_from_spectrum(spectrum: SrgSpectrum, v: int) -> dict[int, int]:
-    """Factored critical-group order of a connected SRG from its spectrum.
-
-    The Laplacian eigenvalues are k minus the adjacency eigenvalues; the
-    order is their product over the nonzero ones, divided by v.  Everything
-    stays factored, so the result is exact; a non-integral quotient raises
-    InfeasibleParametersError.
-    """
-    if spectrum.v != v:
-        raise ValueError(
-            f"vertex count {v} does not match spectrum (v={spectrum.v})"
-        )
-    k = spectrum.k
-    acc: dict[int, int] = {}
-
-    def accumulate(n: int, times: int):
-        if not times:
-            return  # not an eigenvalue; its primes must not enter the order
-        if n <= 0:
-            raise InfeasibleParametersError(
-                "nonpositive Laplacian eigenvalue for a connected graph"
-            )
-        for p, e in factorize(n).items():
-            acc[p] = acc.get(p, 0) + e * times
-
-    if spectrum.theta.is_integral:
-        accumulate(k - spectrum.theta.to_int(), spectrum.m_theta)
-        accumulate(k - spectrum.tau.to_int(), spectrum.m_tau)
-    else:
-        if spectrum.m_theta != spectrum.m_tau:
-            raise InfeasibleParametersError(
-                "irrational eigenvalues with unequal multiplicities"
-            )
-        # (k - theta)(k - tau) is rational: use the norm, once per conjugate pair
-        a, disc = spectrum.theta.a, spectrum.theta.disc
-        norm4 = (2 * k - a) ** 2 - disc
-        if norm4 % 4:
-            raise InfeasibleParametersError("eigenvalue norm is not an integer")
-        accumulate(norm4 // 4, spectrum.m_theta)
-    for p, e in factorize(v).items():
-        have = acc.get(p, 0) - e
-        if have < 0:
-            raise InfeasibleParametersError(
-                f"spectrum order is not divisible by v={v}"
-            )
-        if have:
-            acc[p] = have
-        else:
-            acc.pop(p, None)
-    return dict(sorted(acc.items()))

@@ -275,18 +275,9 @@ class QuadraticNumber(namedtuple("QuadraticNumber", "a b disc")):
         return s * s == self.disc and (self.a + self.b * s) % 2 == 0
 
     def to_int(self) -> int:
-        s = isqrt(self.disc)
-        if not (s * s == self.disc and (self.a + self.b * s) % 2 == 0):
-            raise ValueError(f"{self} is not an integer")
-        return (self.a + self.b * s) // 2
-
-    def __str__(self) -> str:
-        if self.is_integral:
-            return str(self.to_int())
-        sign = "+" if self.b >= 0 else "-"
-        babs = abs(self.b)
-        root = f"sqrt({self.disc})" if babs == 1 else f"{babs}*sqrt({self.disc})"
-        return f"({self.a} {sign} {root})/2"
+        if not self.is_integral:
+            raise ValueError(f"{self!r} is not an integer")
+        return (self.a + self.b * isqrt(self.disc)) // 2
 
 
 class SrgSpectrum(namedtuple("SrgSpectrum", "k theta tau m_theta m_tau")):

@@ -14,6 +14,11 @@ any prime, which is what lets the same code be validated on the real Moore
 graphs of valency 2, 3 and 7 and then applied to the hypothetical valency-57
 parameter set (v, k, lam, mu) = (3250, 57, 0, 1).
 
+The module also owns the spectral order.  The Laplacian eigenvalues
+k - theta and k - tau, the roots of x^2 - c*x + w, are formed in one helper
+(``_laplacian_eigenvalues``) that ``predicted_order_from_spectrum`` and the
+eigenvalue rank inequalities both read.
+
 Every family comes out of one path, whatever the bound exponent J of the
 prime: a case's linear equations are solved exactly in integers
 (``_solve_affine``), and the solution is range-restricted by nonnegativity
@@ -26,8 +31,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .arith import factorize, is_prime, prime_power_divisors, valuation
-from .critical import predicted_order_from_spectrum
-from .graphs import SrgParams, srg_spectrum
+from .graphs import InfeasibleParametersError, SrgParams, SrgSpectrum, srg_spectrum
 
 
 class ContradictionError(Exception):
@@ -46,10 +50,6 @@ class LaplacianIdentity(namedtuple("LaplacianIdentity", "shift w j_coeff")):
     """
 
     __slots__ = ()
-
-    @property
-    def w_factored(self) -> dict[int, int]:
-        return factorize(self.w)
 
 
 def derive_laplacian_identity(params: SrgParams) -> LaplacianIdentity:
@@ -73,18 +73,55 @@ def derive_laplacian_identity(params: SrgParams) -> LaplacianIdentity:
     return LaplacianIdentity(shift=c, w=w, j_coeff=mu)
 
 
-class DivisorBound(namedtuple("DivisorBound", "w allowed")):
-    """Prime powers that can occur as elementary divisors (divisors of w).
+def _laplacian_eigenvalues(spectrum: SrgSpectrum) -> tuple[tuple[int, int], ...]:
+    """The restricted Laplacian eigenvalues as (value, multiplicity) pairs.
 
-    A named tuple, so it compares equal to the plain tuple of its fields.
+    For an integral spectrum these are k - theta and k - tau, the roots of
+    x^2 - c*x + w; an eigenvalue of multiplicity 0 (complete graphs) is kept.
+    A conference spectrum has irrational conjugates of equal multiplicity m,
+    and gives the one pair (norm, m) with the rational norm
+    (k - theta)(k - tau), which is w for the spectrum of an SRG.  Raises
+    InfeasibleParametersError when such a spectrum has unequal
+    multiplicities or a non-integral norm.
     """
+    k, theta, tau, m_theta, m_tau = spectrum
+    if theta.is_integral:
+        return (k - theta.to_int(), m_theta), (k - tau.to_int(), m_tau)
+    if m_theta != m_tau:
+        raise InfeasibleParametersError(
+            "irrational eigenvalues with unequal multiplicities"
+        )
+    # (k - theta)(k - tau) is rational: use the norm, once per conjugate pair
+    norm4 = (2 * k - theta.a) ** 2 - theta.disc
+    if norm4 % 4:
+        raise InfeasibleParametersError("eigenvalue norm is not an integer")
+    return ((norm4 // 4, m_theta),)
 
-    __slots__ = ()
 
+def predicted_order_from_spectrum(spectrum: SrgSpectrum) -> dict[int, int]:
+    """Factored critical-group order of a connected SRG from its spectrum.
 
-def divisor_bound(identity: LaplacianIdentity) -> DivisorBound:
-    """Every elementary divisor of the zero-sum restriction divides w."""
-    return DivisorBound(identity.w, tuple(prime_power_divisors(identity.w)))
+    The Laplacian eigenvalues are k minus the adjacency eigenvalues; the
+    order is their product over the nonzero ones, divided by v (which is
+    ``spectrum.v``).  Everything stays factored, so the result is exact; a
+    non-integral quotient raises InfeasibleParametersError.
+    """
+    acc: dict[int, int] = {}
+    for eig, times in _laplacian_eigenvalues(spectrum):
+        if not times:
+            continue  # not an eigenvalue; its primes must not enter the order
+        if eig <= 0:
+            raise InfeasibleParametersError(
+                "nonpositive Laplacian eigenvalue for a connected graph"
+            )
+        for p, e in factorize(eig).items():
+            acc[p] = acc.get(p, 0) + e * times
+    v = spectrum.v
+    for p, e in factorize(v).items():
+        acc[p] = acc.get(p, 0) - e
+        if acc[p] < 0:
+            raise InfeasibleParametersError(f"spectrum order is not divisible by v={v}")
+    return {p: e for p, e in sorted(acc.items()) if e}
 
 
 class AffineExpr(namedtuple("AffineExpr", "const coeff var", defaults=("t",))):
@@ -213,9 +250,9 @@ def _solve_affine(eqs, n: int):
 def _family_from_solution(label, q, solution, cons, z):
     """Range-restrict an affine solution by nonnegativity and rank bounds.
 
-    cons entries are (mult, kind, j): kind "N" bounds the prefix sum
-    e_0 + ... + e_j from below by mult, kind "M" bounds z + e_j + ... + e_top.
-    Returns a SolutionFamily, or None when the range is empty.
+    cons entries are (mult, j): mult bounds from below both the prefix sum
+    e_0 + ... + e_j (codomain chain) and z + e_j + ... + e_top (domain
+    chain).  Returns a SolutionFamily, or None when the range is empty.
     """
     top = len(solution) - 1
     lo, hi = None, None
@@ -236,16 +273,11 @@ def _family_from_solution(label, q, solution, cons, z):
 
     for c0, c1 in solution:
         require_at_least(c0, c1, 0)
-    for mult, kind, j in cons:
-        if kind == "N":
-            idxs = range(0, j + 1)
-            base = 0
-        else:
-            idxs = range(j, top + 1)
-            base = z
-        c0 = base + sum(solution[i][0] for i in idxs)
-        c1 = sum(solution[i][1] for i in idxs)
-        require_at_least(c0, c1, mult)
+    for mult, j in cons:
+        for base, idxs in ((0, range(0, j + 1)), (z, range(j, top + 1))):
+            c0 = base + sum(solution[i][0] for i in idxs)
+            c1 = sum(solution[i][1] for i in idxs)
+            require_at_least(c0, c1, mult)
     if not feasible:
         return None
     if all(c1 == 0 for _, c1 in solution):
@@ -277,22 +309,19 @@ def _eigenvalue_constraints(spectrum, q: int, bound_exp: int):
     An eigenvalue with q-valuation j >= 1 and multiplicity m pins its
     saturated eigenvector lattice inside both chains at level j, giving
     m <= e_0 + ... + e_j (codomain chain) and m <= z + e_j + ... (domain
-    chain).  Irrational (conference) eigenvalues contribute nothing.
+    chain); the pair is (m, j).  Irrational (conference) eigenvalues
+    contribute nothing.
     """
     cons = []
     if spectrum.theta.is_integral:
-        for eig, mult in (
-            (spectrum.k - spectrum.theta.to_int(), spectrum.m_theta),
-            (spectrum.k - spectrum.tau.to_int(), spectrum.m_tau),
-        ):
+        for eig, mult in _laplacian_eigenvalues(spectrum):
             j = valuation(eig, q)
             if j >= 1:
                 if j > bound_exp:
                     raise AssertionError(
                         "eigenvalue valuation exceeds the divisor bound"
                     )
-                cons.append((mult, "N", j))
-                cons.append((mult, "M", j))
+                cons.append((mult, j))
     return cons
 
 
@@ -317,7 +346,7 @@ def enumerate_families(params: SrgParams, q: int) -> list[SolutionFamily]:
     ident = derive_laplacian_identity(params)
     bound_exp = valuation(ident.w, q)
     spectrum = srg_spectrum(params)
-    val = predicted_order_from_spectrum(spectrum, params.v).get(q, 0)
+    val = predicted_order_from_spectrum(spectrum).get(q, 0)
     if bound_exp > 3:
         raise ValueError(
             f"divisor bound allows exponent {bound_exp} for q={q}; only "
@@ -331,13 +360,7 @@ def enumerate_families(params: SrgParams, q: int) -> list[SolutionFamily]:
     cases = [(1, base)]
     if bound_exp == 3:
         pair = next(
-            (
-                (ma, ja, mb)
-                for ma, kind_a, ja in cons
-                if kind_a == "N"
-                for mb, kind_b, jb in cons
-                if kind_b == "M" and jb == ja + 1
-            ),
+            ((ma, ja, mb) for ma, ja in cons for mb, jb in cons if jb == ja + 1),
             None,
         )
         if pair is None:
@@ -385,9 +408,7 @@ def analyze(params: SrgParams, primes=()) -> dict:
     ``primes``.
     """
     ident = derive_laplacian_identity(params)
-    bound = divisor_bound(ident)
-    spectrum = srg_spectrum(params)
-    order = predicted_order_from_spectrum(spectrum, params.v)
+    order = predicted_order_from_spectrum(srg_spectrum(params))
     forced = {}
     for qq in sorted(order):
         if valuation(ident.w, qq) == 1:
@@ -405,9 +426,9 @@ def analyze(params: SrgParams, primes=()) -> dict:
             "c": ident.shift,
             "w": ident.w,
             "j_coeff": ident.j_coeff,
-            "w_factored": {str(p): e for p, e in sorted(ident.w_factored.items())},
+            "w_factored": {str(p): e for p, e in sorted(factorize(ident.w).items())},
         },
-        "divisor_bound": list(bound.allowed),
+        "divisor_bound": prime_power_divisors(ident.w),
         "order_factored": {str(p): e for p, e in order.items()},
         "forced": forced,
         "families": families,

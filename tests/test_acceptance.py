@@ -169,7 +169,7 @@ def test_criterion_5_hoffman_singleton(capsys):
     cg = critical_group(g)
     from critlab import predicted_order_from_spectrum
 
-    spectral = predicted_order_from_spectrum(srg_spectrum(params), 50)
+    spectral = predicted_order_from_spectrum(srg_spectrum(params))
     ok = ok and cg.order == 2**20 * 5**47
     ok = ok and spectral == {2: 20, 5: 47} == cg.order_factored()
 

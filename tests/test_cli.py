@@ -461,6 +461,12 @@ USAGE_ERRORS = [
     (["critgroup", "--graph", "moore57"], "error: existence of a Moore graph of valency 57 is an open problem"),
     # checked before the source is loaded
     (["filtration", "--matrix", "", "--prime", "2", "--prime", "3"], "filtration needs exactly one --prime"),
+    # builtin names over 1,000,000 edges, refused before any graph is built:
+    # N(N-1)/2 edges for kN, N for cN, N - 1 for pN
+    (["graph", "info", "--graph", "k1415"], "has 1000405 edges; builtin graphs are limited to 1000000 edges"),
+    (["critgroup", "--graph", "k100000"], "has 4999950000 edges; builtin graphs are limited to 1000000 edges"),
+    (["graph", "info", "--graph", "c1000001"], "has 1000001 edges; builtin graphs are limited to 1000000 edges"),
+    (["graph", "info", "--graph", "p1000002"], "has 1000001 edges; builtin graphs are limited to 1000000 edges"),
 ]
 
 
@@ -484,6 +490,11 @@ class TestUsage:
         report = json.loads(out)
         assert (report["n"], report["m"]) == (50, 175)
         assert report["regular"] is True
+
+    def test_largest_complete_graph_under_the_edge_limit(self, capsys):
+        code, out, _ = run_cli(capsys, ["graph", "info", "--graph", "k1414", "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["m"] == 998_991
 
 
 class TestModuleEntryPoint:

@@ -290,7 +290,7 @@ class TestCertifiedModulus:
         assert (False, True) in seen
 
     def test_paley_101_order_from_spectrum(self):
-        predicted = predicted_order_from_spectrum(srg_spectrum(SrgParams(101, 50, 24, 25)), 101)
+        predicted = predicted_order_from_spectrum(srg_spectrum(SrgParams(101, 50, 24, 25)))
         assert critical_group(paley_graph(101)).order == prod(p**e for p, e in predicted.items())
 
 
@@ -362,7 +362,7 @@ class TestBicycleDimension:
 class TestPredictedOrder:
     def test_moore57(self):
         sp = srg_spectrum(SrgParams(3250, 57, 0, 1))
-        assert predicted_order_from_spectrum(sp, 3250) == {
+        assert predicted_order_from_spectrum(sp) == {
             2: 1728,
             5: 4975,
             13: 1519,
@@ -370,20 +370,15 @@ class TestPredictedOrder:
 
     def test_petersen(self):
         sp = srg_spectrum(SrgParams(10, 3, 0, 1))
-        assert predicted_order_from_spectrum(sp, 10) == {2: 4, 5: 3}
+        assert predicted_order_from_spectrum(sp) == {2: 4, 5: 3}
 
     def test_hoffman_singleton(self):
         sp = srg_spectrum(SrgParams(50, 7, 0, 1))
-        assert predicted_order_from_spectrum(sp, 50) == {2: 20, 5: 47}
+        assert predicted_order_from_spectrum(sp) == {2: 20, 5: 47}
 
     def test_5_cycle_conference(self):
         sp = srg_spectrum(SrgParams(5, 2, 0, 1))
-        assert predicted_order_from_spectrum(sp, 5) == {5: 1}
-
-    def test_vertex_count_mismatch(self):
-        sp = srg_spectrum(SrgParams(10, 3, 0, 1))
-        with pytest.raises(ValueError):
-            predicted_order_from_spectrum(sp, 12)
+        assert predicted_order_from_spectrum(sp) == {5: 1}
 
     def test_non_integral_quotient_is_infeasible(self):
         # synthetic spectrum: 2^3 * 5^2 is not divisible by v = 6
@@ -397,7 +392,7 @@ class TestPredictedOrder:
             m_tau=2,
         )
         with pytest.raises(InfeasibleParametersError):
-            predicted_order_from_spectrum(sp, 6)
+            predicted_order_from_spectrum(sp)
 
     @pytest.mark.parametrize(
         "k,graph",
@@ -405,7 +400,7 @@ class TestPredictedOrder:
     )
     def test_matches_actual_moore_graphs(self, k, graph):
         sp = srg_spectrum(SrgParams(k * k + 1, k, 0, 1))
-        predicted = predicted_order_from_spectrum(sp, k * k + 1)
+        predicted = predicted_order_from_spectrum(sp)
         assert predicted == critical_group(graph).order_factored()
 
 

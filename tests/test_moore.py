@@ -12,7 +12,6 @@ from critlab import (
     analyze,
     cycle_graph,
     derive_laplacian_identity,
-    divisor_bound,
     elem_divisor_profile,
     enumerate_families,
     family_membership,
@@ -23,7 +22,7 @@ from critlab import (
     srg_spectrum,
     verify_filtration_dims,
 )
-from critlab.arith import factorize
+from critlab.arith import factorize, prime_power_divisors
 from oracles import (
     _gauss_rank_mod_p,
     admissible_srg_vectors,
@@ -43,7 +42,7 @@ class TestLaplacianIdentity:
         ident = derive_laplacian_identity(MOORE57)
         assert ident.shift == 115
         assert ident.w == 3250
-        assert ident.w_factored == {2: 1, 5: 3, 13: 1}
+        assert factorize(ident.w) == {2: 1, 5: 3, 13: 1}
         assert ident.j_coeff == 1
 
     def test_hoffman_singleton_params(self):
@@ -82,15 +81,17 @@ class TestLaplacianIdentity:
 
 
 class TestDivisorBound:
+    """The prime powers dividing w, as ``analyze`` reports them."""
+
     def test_moore57(self):
-        ident = derive_laplacian_identity(MOORE57)
-        assert set(divisor_bound(ident).allowed) == {2, 5, 25, 125, 13}
+        assert set(analyze(MOORE57)["divisor_bound"]) == {2, 5, 25, 125, 13}
 
     def test_petersen(self):
-        assert divisor_bound(derive_laplacian_identity(PETERSEN)).allowed == (2, 5)
+        assert analyze(PETERSEN)["divisor_bound"] == [2, 5]
 
     def test_hoffman_singleton(self):
-        assert divisor_bound(derive_laplacian_identity(HOSI)).allowed == (2, 5, 25)
+        assert analyze(HOSI)["divisor_bound"] == [2, 5, 25]
+        assert prime_power_divisors(derive_laplacian_identity(HOSI).w) == [2, 5, 25]
 
 
 class TestForcedMultiplicities:
@@ -366,11 +367,33 @@ class TestCompleteGraphs:
             cayley = factorize(params.v ** (params.v - 2))
             spectrum = srg_spectrum(params)
             assert 0 in (spectrum.m_theta, spectrum.m_tau)
-            assert predicted_order_from_spectrum(spectrum, params.v) == cayley, params
+            assert predicted_order_from_spectrum(spectrum) == cayley, params
             report = analyze(params)
             assert report["order_factored"] == {str(p): e for p, e in cayley.items()}
             assert all(report["forced"].values()), params
         assert cases == 435
+
+
+class TestLaplacianEigenvalues:
+    def test_roots_of_the_quadratic_identity(self):
+        # integral: k - theta and k - tau are the roots of x^2 - c*x + w,
+        # multiplicity-0 eigenvalues of complete graphs included; conference:
+        # the one value is the norm (k - theta)(k - tau) = w = mu*v
+        integral = conference = 0
+        for params in feasible_params(30):
+            ident = derive_laplacian_identity(params)
+            spectrum = srg_spectrum(params)
+            eigs = moore_mod._laplacian_eigenvalues(spectrum)
+            if spectrum.theta.is_integral:
+                integral += 1
+                (a, m_a), (b, m_b) = eigs
+                assert (a + b, a * b) == (ident.shift, ident.w), params
+                assert (m_a, m_b) == (spectrum.m_theta, spectrum.m_tau)
+            else:
+                conference += 1
+                assert eigs == ((ident.w, (params.v - 1) // 2),), params
+                assert ident.w == params.mu * params.v
+        assert (integral, conference) == (511, 5)
 
 
 class TestFamilyMembership:
@@ -401,21 +424,21 @@ class TestFamilyMembership:
 class TestContradictionOutcomes:
     def test_unsatisfiable_valuation_raises(self, monkeypatch):
         monkeypatch.setattr(
-            moore_mod, "predicted_order_from_spectrum", lambda s, v: {5: 10**7}
+            moore_mod, "predicted_order_from_spectrum", lambda s: {5: 10**7}
         )
         with pytest.raises(ContradictionError):
             enumerate_families(MOORE57, 5)
 
     def test_forced_path_contradiction(self, monkeypatch):
         monkeypatch.setattr(
-            moore_mod, "predicted_order_from_spectrum", lambda s, v: {5: 60}
+            moore_mod, "predicted_order_from_spectrum", lambda s: {5: 60}
         )
         with pytest.raises(ContradictionError):
             enumerate_families(C5, 5)
 
     def test_prime_outside_bound_with_order_share(self, monkeypatch):
         monkeypatch.setattr(
-            moore_mod, "predicted_order_from_spectrum", lambda s, v: {3: 4}
+            moore_mod, "predicted_order_from_spectrum", lambda s: {3: 4}
         )
         with pytest.raises(ContradictionError):
             analyze(MOORE57, (3,))
